@@ -409,6 +409,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # bounds_report raises this when a link of the bound chain fails:
+        # a failed check, not a usage error.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     _emit(config, payload)
     return code
 

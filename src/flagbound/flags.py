@@ -279,9 +279,9 @@ def flag_weighted_sum_by_enumeration(
 
 def flag_lower_bound(n: int, p, table: FlatTable | None = None) -> Fraction:
     """Twice the weighted flag sum of the sign-vector set: a lower bound on
-    the number of threshold functions of n variables."""
-    H = generate_sign_vectors(n) if table is None else table.vs
-    return 2 * flag_weighted_sum(H, p, table)
+    the number of threshold functions of n variables.  A given table must
+    be built for that set."""
+    return 2 * flag_weighted_sum(generate_sign_vectors(n), p, table)
 
 
 def minimal_tuple_count(

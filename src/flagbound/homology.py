@@ -15,8 +15,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-import numpy as np
-
 from .arrangement import Flat, FlatTable, VectorSet, ensure_table
 from .errors import GuardError
 
@@ -27,7 +25,11 @@ __all__ = [
     "mobius_via_homology",
 ]
 
-MAX_STORED_SIMPLICES = 10**7
+# Bound on the boundary nonzeros a slice may hold, counted as k per stored
+# k-subset while the layers are enumerated.  A slice costs about 81 bytes
+# per nonzero (the E_5 top slice: 3,106,880 nonzeros, 240 MB peak under
+# tracemalloc, Python 3.11), so a slice at the limit stays near 1 GB.
+MAX_BOUNDARY_NONZEROS = 10**7
 
 
 def _is_prime(p: int) -> bool:
@@ -59,15 +61,16 @@ class ComplexSlice:
     For target degree m: faces have m vertices, simplices m+1, cofaces m+2
     (the empty simplex counts as a face layer entry in the reduced complex).
     boundary_out maps the middle layer down, boundary_in maps the top layer
-    into it; entries are the alternating +-1 face signs.
+    into it.  Each is a sparse column per simplex of the upper layer,
+    {row in the lower layer: +-1}, with the alternating face signs.
     """
 
     degree: int
     faces: tuple[tuple[int, ...], ...]
     simplices: tuple[tuple[int, ...], ...]
     cofaces: tuple[tuple[int, ...], ...]
-    boundary_out: np.ndarray
-    boundary_in: np.ndarray
+    boundary_out: tuple[dict[int, int], ...]
+    boundary_in: tuple[dict[int, int], ...]
 
 
 def _subsets_with_proper_span(
@@ -82,16 +85,16 @@ def _subsets_with_proper_span(
     out: dict[int, list[tuple[int, ...]]] = {k: [] for k in sizes}
     if max_size < 0:
         return out
-    stored = 0
+    nonzeros = 0
     current: list[int] = []
 
     def record(k: int, item: tuple[int, ...]) -> None:
-        nonlocal stored
+        nonlocal nonzeros
         out[k].append(item)
-        stored += 1
-        if stored > MAX_STORED_SIMPLICES:
+        nonzeros += k
+        if nonzeros > MAX_BOUNDARY_NONZEROS:
             raise GuardError(
-                "homology.simplices", f"<= {MAX_STORED_SIMPLICES}", stored
+                "homology.boundary_nonzeros", f"<= {MAX_BOUNDARY_NONZEROS}", nonzeros
             )
 
     def walk(fid: int, start: int) -> None:
@@ -112,21 +115,23 @@ def _subsets_with_proper_span(
     return out
 
 
-def _boundary_matrix(
+def _boundary_columns(
     faces: Sequence[tuple[int, ...]], simplices: Sequence[tuple[int, ...]]
-) -> np.ndarray:
-    """Signed incidence of each simplex with its one-smaller faces."""
-    mat = np.zeros((len(faces), len(simplices)), dtype=np.int8)
+) -> tuple[dict[int, int], ...]:
+    """Signed incidence of each simplex with its one-smaller faces, as one
+    {face row: +-1} column per simplex."""
     index = {f: r for r, f in enumerate(faces)}
-    for c, s in enumerate(simplices):
+    columns = []
+    for s in simplices:
+        col = {}
         sign = 1
         for drop in range(len(s)):
-            face = s[:drop] + s[drop + 1 :]
-            row = index.get(face)
+            row = index.get(s[:drop] + s[drop + 1 :])
             if row is not None:
-                mat[row, c] = sign
+                col[row] = sign
             sign = -sign
-    return mat
+        columns.append(col)
+    return tuple(columns)
 
 
 def build_complex_slice(
@@ -146,76 +151,38 @@ def build_complex_slice(
         faces=faces,
         simplices=simplices,
         cofaces=cofaces,
-        boundary_out=_boundary_matrix(faces, simplices),
-        boundary_in=_boundary_matrix(simplices, cofaces),
+        boundary_out=_boundary_columns(faces, simplices),
+        boundary_in=_boundary_columns(simplices, cofaces),
     )
 
 
-def _rank_gf2(mat: np.ndarray) -> int:
-    """Rank over GF(2) by bitset elimination on the columns."""
-    rows, cols = mat.shape
-    if rows == 0 or cols == 0:
-        return 0
-    odd = (np.asarray(mat, dtype=np.int64) & 1).astype(bool)
-    packed = []
-    for c in range(cols):
-        bits = 0
-        for r in np.nonzero(odd[:, c])[0]:
-            bits |= 1 << int(r)
-        if bits:
-            packed.append(bits)
-    pivots: dict[int, int] = {}
-    rank = 0
-    for bits in packed:
-        while bits:
-            lead = bits.bit_length() - 1
-            other = pivots.get(lead)
+def _rank_mod_p(columns: Sequence[dict[int, int]], p: int) -> int:
+    """Rank over GF(p) by sparse column elimination, pivoting on each
+    column's largest row."""
+    pivots: dict[int, dict[int, int]] = {}
+    for col in columns:
+        col = {r: v % p for r, v in col.items()}
+        while col:
+            r = max(col)
+            other = pivots.get(r)
             if other is None:
-                pivots[lead] = bits
-                rank += 1
+                inv = pow(col[r], -1, p)
+                pivots[r] = {k: v * inv % p for k, v in col.items()}
                 break
-            bits ^= other
-    return rank
+            c = col[r]
+            for k, v in other.items():
+                x = (col.get(k, 0) - c * v) % p
+                if x:
+                    col[k] = x
+                else:
+                    del col[k]
+    return len(pivots)
 
 
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank over GF(p) by row insertion with vectorized reductions."""
-    work = np.asarray(mat, dtype=np.int64) % p
-    if work.shape[0] > work.shape[1]:
-        work = work.T
-    pivots: dict[int, np.ndarray] = {}
-    rank = 0
-    for r in range(work.shape[0]):
-        row = work[r].copy()
-        while True:
-            nz = np.nonzero(row)[0]
-            if nz.size == 0:
-                break
-            c = int(nz[0])
-            other = pivots.get(c)
-            if other is None:
-                inv = pow(int(row[c]), p - 2, p)
-                pivots[c] = (row * inv) % p
-                rank += 1
-                break
-            row = (row - row[c] * other) % p
-    return rank
-
-
-def _rank_exact(mat: np.ndarray) -> int:
+def _rank_exact(columns: Sequence[dict[int, int]]) -> int:
     """Rank over the rationals: sparse integer elimination, content removed
     after every combination so entries stay small."""
-    rows, cols = mat.shape
-    if rows == 0 or cols == 0:
-        return 0
-    columns = []
-    src = np.asarray(mat, dtype=np.int64)
-    for c in range(cols):
-        nz = np.nonzero(src[:, c])[0]
-        if nz.size:
-            columns.append({int(r): int(src[r, c]) for r in nz})
     pivots: dict[int, dict[int, int]] = {}
-    rank = 0
     for col in columns:
         while col:
             r = max(col)
@@ -225,7 +192,6 @@ def _rank_exact(mat: np.ndarray) -> int:
                 if col[r] < 0:
                     content = -content
                 pivots[r] = {k: v // content for k, v in col.items()}
-                rank += 1
                 break
             a, b = other[r], col[r]
             merged = {k: a * v for k, v in col.items()}
@@ -235,15 +201,13 @@ def _rank_exact(mat: np.ndarray) -> int:
             if col:
                 content = gcd(*col.values())
                 col = {k: v // content for k, v in col.items()}
-    return rank
+    return len(pivots)
 
 
-def _matrix_rank(mat: np.ndarray, fld: int | str) -> int:
-    if fld == 2:
-        return _rank_gf2(mat)
+def _rank(columns: Sequence[dict[int, int]], fld: int | str) -> int:
     if fld == "Q":
-        return _rank_exact(mat)
-    return _rank_mod_p(mat, fld)
+        return _rank_exact(columns)
+    return _rank_mod_p(columns, fld)
 
 
 def _reduced_rank(
@@ -257,8 +221,8 @@ def _reduced_rank(
     middle = len(sl.simplices)
     if middle == 0:
         return 0
-    rank_out = _matrix_rank(sl.boundary_out, fld)
-    rank_in = _matrix_rank(sl.boundary_in, fld)
+    rank_out = _rank(sl.boundary_out, fld)
+    rank_in = _rank(sl.boundary_in, fld)
     return middle - rank_out - rank_in
 
 

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import flagbound.homology
+import flagbound.threshold
 from flagbound.arrangement import generate_sign_vectors, read_vector_set, write_vector_set
 from flagbound.cli import main
 
@@ -107,6 +109,22 @@ def test_homology_explicit_degree(capsys):
     assert json.loads(out)["degree"] == 0
 
 
+def test_homology_n5_top_degree(capsys):
+    code, out, err = run(capsys, ["homology", "--n", "5", "--field", "3"])
+    assert code == 0
+    assert err == ""
+    assert "rank: 27129" in out.splitlines()
+
+
+def test_homology_guard_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(flagbound.homology, "MAX_BOUNDARY_NONZEROS", 50)
+    code, out, err = run(capsys, ["homology", "--n", "3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: guard 'homology.boundary_nonzeros'")
+    assert "Traceback" not in err
+
+
 def test_count_threshold(capsys):
     code, out, _ = run(capsys, ["count-threshold", "--n", "2", "--format", "json"])
     assert code == 0
@@ -145,6 +163,18 @@ def test_guard_exit_code(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["report", "--n", "2"],
+                                  ["verify", "--n", "2"]])
+def test_failed_bound_chain_exit_code(capsys, monkeypatch, argv):
+    monkeypatch.setattr(flagbound.threshold, "count_threshold_functions",
+                        lambda n, threads=None: 13)
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: census 13 != chamber count 14")
+    assert "Traceback" not in err
 
 
 def test_missing_source_exit_code(capsys):

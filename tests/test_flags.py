@@ -129,6 +129,12 @@ def test_lower_bound_examples():
     assert flag_lower_bound(2, (Fraction(2), third, third, third)) == 6
 
 
+def test_lower_bound_rejects_table_for_other_set(sign_tables):
+    _, table = sign_tables[3]
+    with pytest.raises(ValueError):
+        flag_lower_bound(4, WeightVector.uniform(16), table)
+
+
 def test_minimal_counts(sign_tables):
     expected = {1: 1, 2: 3, 3: 23}
     for n, want in expected.items():
