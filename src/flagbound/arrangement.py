@@ -17,7 +17,6 @@ from .exactlin import (
     SubspaceBasis,
     Vector,
     _insert,
-    _reduce,
     primitive,
     rank,
 )
@@ -39,6 +38,14 @@ __all__ = [
 
 SIGN_VECTORS_MAX_N = 20
 SCHLAFLI_MAX_N = 62
+# Guard on the flats of one table, checked as each flat is added.  Measured
+# by tracemalloc after close(), a flat costs about 630 B at T = 32 (E_5) and
+# 610 B at T = 64 (64 integer vectors in R^4), or 1.2 KB and 1.4 KB with
+# every extend step and member tuple filled in.  A flat whose covers are not
+# built yet also holds its images, 3.3 KB a flat over the first 100,000
+# flats of E_6.  `chambers --n 6` reaches this limit after about 58 s at
+# 1.04 GB peak RSS (2 CPUs).
+MAX_FLATS = 600_000
 
 
 @dataclass(frozen=True)
@@ -119,85 +126,107 @@ def schlafli_bound(n: int) -> int:
 class FlatTable:
     """Interning table for the flats (distinct spans of subsets) of a VectorSet.
 
-    Flats are identified by their canonical primitive-RREF rows and stored
-    under small integer ids.  The table is a cache: it never affects results,
-    only the cost of obtaining them.  Id 0 is the zero subspace.
+    A flat is keyed by its member bitmask (bit i set iff w_i lies in it) and
+    stored under a small integer id; id 0 is the zero subspace.  Covers come
+    from the contraction of the arrangement to the flat: the flats covering F
+    are the spans of F and one class of its non-members, two non-members
+    sharing a cover iff their images in R^d / F are parallel.  Each flat keeps
+    one primitive integer image per class until its covers are built, so no
+    cover needs a membership or rank test.  The table is a cache: it never
+    affects results, only the cost of obtaining them.
     """
 
     def __init__(self, vs: VectorSet):
         self.vs = vs
-        self._ids: dict[tuple[Vector, ...], int] = {}
+        self._ids: dict[int, int] = {}
         self.rows: list[tuple[Vector, ...]] = []
         self.masks: list[int] = []
         self.counts: list[int] = []
         self.dims: list[int] = []
-        self._extend_memo: dict[int, int] = {}
-        self._covers: dict[int, list[int]] = {}
+        self._covers: list[list[int] | None] = []
+        # Image in R^d / F -> member bits, for each flat F whose covers are
+        # not built yet.
+        self._classes: dict[int, dict[Vector, int]] = {}
+        self._steps: dict[int, tuple[int, ...]] = {}
         self._members_memo: dict[int, tuple[int, ...]] = {}
-        self._closed = False
         self._flag_groups: dict[int, dict[int, int]] | None = None
-        self.zero_fid = self._intern(())
+        # (total, per_index) of the weighted flag sum, set by flags.py.
+        self._flag_sums: tuple | None = None
+        # A VectorSet has no parallel pair, so each atom is its own class.
+        atoms = {primitive(w): 1 << i for i, w in enumerate(vs.vectors)}
+        self.zero_fid = self._add(0, (), atoms)
 
-    def _intern(self, rows: tuple[Vector, ...]) -> int:
-        fid = self._ids.get(rows)
-        if fid is not None:
-            return fid
-        fid = len(self.rows)
-        self._ids[rows] = fid
+    def _add(self, mask: int, rows: tuple[Vector, ...], classes: dict[Vector, int]) -> int:
+        fid = len(self.masks)
+        if fid >= MAX_FLATS:
+            raise GuardError("arrangement.flats", f"<= {MAX_FLATS}", fid + 1)
+        self._ids[mask] = fid
         self.rows.append(rows)
-        mask = 0
-        cnt = 0
-        for j, w in enumerate(self.vs.vectors):
-            if not any(_reduce(rows, w)):
-                mask |= 1 << j
-                cnt += 1
         self.masks.append(mask)
-        self.counts.append(cnt)
+        self.counts.append(mask.bit_count())
         self.dims.append(len(rows))
+        self._covers.append(None)
+        self._classes[fid] = classes
         return fid
 
-    def extend(self, fid: int, i: int) -> int:
-        """Id of span(flat + w_i).  Dimension grows iff i is not a member."""
-        key = fid * len(self.vs.vectors) + i
-        out = self._extend_memo.get(key)
-        if out is None:
-            rows, _ = _insert(self.rows[fid], self.vs.vectors[i])
-            out = self._intern(rows)
-            self._extend_memo[key] = out
-        return out
+    def _contract(self, fid: int, image: Vector, bits: int, classes: dict[Vector, int]) -> int:
+        """Add the cover of flat fid spanned with the class `bits`, whose
+        image in R^d / F is `image`.  The other classes' images pass to
+        R^d / (F + image) by one fraction-free step on a coordinate c where
+        image is nonzero, c then dropped; the c with the least |image[c]|
+        keeps the entries small."""
+        c = min((k for k, x in enumerate(image) if x), key=lambda k: abs(image[k]))
+        a = image[c]
+        sub: dict[Vector, int] = {}
+        for y, ybits in classes.items():
+            if y is image:
+                continue
+            b = y[c]
+            z = [a * u - b * v for u, v in zip(y, image)]
+            del z[c]
+            z = primitive(z)
+            sub[z] = sub.get(z, 0) | ybits
+        i = (bits & -bits).bit_length() - 1
+        rows, _ = _insert(self.rows[fid], self.vs.vectors[i])
+        return self._add(self.masks[fid] | bits, rows, sub)
 
     def covers(self, fid: int) -> list[int]:
         """Ids of the flats one dimension up reachable by adjoining a vector."""
-        out = self._covers.get(fid)
+        out = self._covers[fid]
         if out is None:
+            classes = self._classes.pop(fid)
             mask = self.masks[fid]
-            seen = set()
-            for i in range(len(self.vs.vectors)):
-                if not (mask >> i) & 1:
-                    seen.add(self.extend(fid, i))
-            out = sorted(seen)
+            out = []
+            for image, bits in classes.items():
+                cid = self._ids.get(mask | bits)
+                if cid is None:
+                    cid = self._contract(fid, image, bits, classes)
+                out.append(cid)
+            out.sort()
             self._covers[fid] = out
         return out
 
+    def extend(self, fid: int, i: int) -> int:
+        """Id of span(flat + w_i).  Dimension grows iff i is not a member."""
+        step = self._steps.get(fid)
+        if step is None:
+            mask = self.masks[fid]
+            out = [fid] * len(self.vs.vectors)
+            for cid in self.covers(fid):
+                bits = self.masks[cid] ^ mask
+                while bits:
+                    low = bits & -bits
+                    out[low.bit_length() - 1] = cid
+                    bits ^= low
+            step = self._steps[fid] = tuple(out)
+        return step[i]
+
     def close(self) -> None:
         """Materialize every flat and the full cover (Hasse) diagram."""
-        if self._closed:
-            return
-        frontier = [self.zero_fid]
-        while frontier:
-            nxt = []
-            for fid in frontier:
-                if self.dims[fid] >= self.vs.ambient_dim:
-                    continue
-                for cid in self.covers(fid):
-                    if cid not in self._covers and self.dims[cid] < self.vs.ambient_dim:
-                        nxt.append(cid)
-            # A flat can be re-reached along several chains; dedupe.
-            frontier = sorted(set(nxt) - set(self._covers))
-        for fid in range(len(self.rows)):
-            if self.dims[fid] == self.vs.ambient_dim:
-                self._covers.setdefault(fid, [])
-        self._closed = True
+        fid = 0
+        while self._classes:
+            self.covers(fid)
+            fid += 1
 
     def fids_by_dim(self) -> list[list[int]]:
         self.close()

@@ -29,6 +29,7 @@ HOMOLOGY_CHECK_MAX_N = 4
 FLAT_CHECK_MAX_N = 3
 SAMPLING_CHECK_MAX_N = 3
 SAMPLING_CHECK_COUNT = 200
+MAX_RANDOM_WEIGHT_ENTRIES = 10**6
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,10 @@ def _weight_vectors(spec: str, count: int) -> list[WeightVector]:
             raise ValueError(f"expected random:<seed>:<count>, got {spec!r}") from exc
         if k < 1:
             raise ValueError("weight vector count must be >= 1")
+        if k * count > MAX_RANDOM_WEIGHT_ENTRIES:
+            raise GuardError(
+                "weights.random_entries", f"<= {MAX_RANDOM_WEIGHT_ENTRIES}", k * count
+            )
         return [WeightVector.random(count, seed + i) for i in range(k)]
     return [flags.read_weight_vector(spec)]
 

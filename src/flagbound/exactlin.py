@@ -42,14 +42,16 @@ def primitive(v: Sequence[int]) -> Vector:
     The zero vector is returned unchanged.  Two vectors are parallel iff
     their primitive forms coincide.
     """
-    g = 0
-    for x in v:
-        g = gcd(g, x)
+    g = gcd(*v)
     if g == 0:
         return tuple(v)
-    lead = next(x for x in v if x != 0)
-    if lead < 0:
-        g = -g
+    for x in v:
+        if x:
+            if x < 0:
+                g = -g
+            break
+    if g == 1:
+        return tuple(v)
     return tuple(x // g for x in v)
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -225,15 +224,11 @@ def enumerate_tuples(
     yield from walk(table.zero_fid, 1)
 
 
-_SUM_CACHE: "weakref.WeakKeyDictionary[FlatTable, tuple]" = weakref.WeakKeyDictionary()
-
-
 def _flag_sum_coefficients(table: FlatTable) -> tuple[Fraction, list[Fraction]]:
     """(total, per_index): the weighted flag sum equals
     total - sum_i p_i * per_index[i] for any weight vector p."""
-    cached = _SUM_CACHE.get(table)
-    if cached is not None:
-        return cached
+    if table._flag_sums is not None:
+        return table._flag_sums
     T = len(table.vs)
     total = Fraction(0)
     per_index = [Fraction(0)] * T
@@ -242,7 +237,7 @@ def _flag_sum_coefficients(table: FlatTable) -> tuple[Fraction, list[Fraction]]:
         total += share
         for i in table.members(top_fid):
             per_index[i] += share
-    _SUM_CACHE[table] = (total, per_index)
+    table._flag_sums = (total, per_index)
     return total, per_index
 
 

@@ -18,6 +18,7 @@ from flagbound.arrangement import (
     write_vector_set,
 )
 from flagbound.errors import GuardError
+from flagbound.exactlin import span
 
 from conftest import random_spanning_set
 
@@ -159,12 +160,24 @@ def test_chambers_within_schlafli(sign_tables):
 
 
 def test_flat_members_are_exactly_contained_vectors(sign_tables):
-    for n in (2, 3):
-        H, table = sign_tables[n]
+    cases = [sign_tables[n] for n in (2, 3, 4)]
+    for seed in range(3):
+        H = random_spanning_set(4, 12, seed)
+        cases.append((H, FlatTable(H)))
+    for H, table in cases:
         L = build_lattice(H, table)
         for f in L.flats:
             inside = tuple(i for i, v in enumerate(H) if v in f.subspace)
             assert f.members == inside
+            assert span([H[i] for i in f.members], H.ambient_dim) == f.subspace
+
+
+def test_e5_lattice_sizes():
+    table = FlatTable(generate_sign_vectors(5))
+    by_dim = [len(fids) for fids in table.fids_by_dim()]
+    assert by_dim == [1, 32, 496, 2800, 5780, 3254, 1]
+    assert sum(by_dim) == 12364
+    assert sum(len(table.covers(f)) for f in range(len(table.rows))) == 89878
 
 
 def test_flat_table_interning(sign_tables):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import flagbound.arrangement
 import flagbound.homology
 import flagbound.threshold
 from flagbound.arrangement import generate_sign_vectors, read_vector_set, write_vector_set
@@ -122,6 +123,24 @@ def test_homology_guard_exit_code(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: guard 'homology.boundary_nonzeros'")
+    assert "Traceback" not in err
+
+
+def test_flat_guard_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(flagbound.arrangement, "MAX_FLATS", 10)
+    code, out, err = run(capsys, ["chambers", "--n", "3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: guard 'arrangement.flats'")
+    assert "Traceback" not in err
+
+
+def test_random_weights_guard_exit_code(capsys):
+    code, out, err = run(
+        capsys, ["bound", "--n", "2", "--weights", "random:0:250001"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: guard 'weights.random_entries'")
     assert "Traceback" not in err
 
 
