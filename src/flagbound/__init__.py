@@ -24,11 +24,8 @@ from .arrangement import (
 )
 from .errors import GuardError
 from .exactlin import (
-    EliminationState,
     SubspaceBasis,
     contains,
-    empty_state,
-    incremental_rank_extend,
     rank,
     span,
 )
@@ -68,7 +65,6 @@ __all__ = [
     "BooleanFunction",
     "BoundsReport",
     "ComplexSlice",
-    "EliminationState",
     "Flat",
     "FlatTable",
     "FullFlag",
@@ -87,7 +83,6 @@ __all__ = [
     "contains",
     "count_admissible_orders",
     "count_threshold_functions",
-    "empty_state",
     "ensure_table",
     "enumerate_tuples",
     "flag_lower_bound",
@@ -95,7 +90,6 @@ __all__ = [
     "flag_weighted_sum_by_enumeration",
     "generate_sign_vectors",
     "homology_rank",
-    "incremental_rank_extend",
     "is_threshold",
     "minimal_tuple_count",
     "minimal_tuples",

@@ -46,6 +46,14 @@ SCHLAFLI_MAX_N = 62
 # flats of E_6.  `chambers --n 6` reaches this limit after about 58 s at
 # 1.04 GB peak RSS (2 CPUs).
 MAX_FLATS = 600_000
+# Guard on the fraction-free contraction steps of one table: each new cover
+# costs one step per other class of its parent, so T vectors in general
+# position in R^2 cost T(T - 1) steps for only T + 2 flats.  A step took
+# 1.9 µs on 2,000 vectors (1, k) in R^2 (3,998,000 steps in 7.6 s, 2 CPUs),
+# so the limit is about 40 s of steps there.  E_5 takes 166,044 steps; E_6
+# has taken 15.1 million when it reaches MAX_FLATS, so `chambers --n 6`
+# still stops on the flat guard.
+MAX_CONTRACTION_STEPS = 2 * 10**7
 
 
 @dataclass(frozen=True)
@@ -152,6 +160,10 @@ class FlatTable:
         self._flag_groups: dict[int, dict[int, int]] | None = None
         # (total, per_index) of the weighted flag sum, set by flags.py.
         self._flag_sums: tuple | None = None
+        # The lattice with its Mobius values, set by build_lattice.
+        self._lattice: IntersectionLattice | None = None
+        # Fraction-free steps taken so far, bounded by MAX_CONTRACTION_STEPS.
+        self.contraction_steps = 0
         # A VectorSet has no parallel pair, so each atom is its own class.
         atoms = {primitive(w): 1 << i for i, w in enumerate(vs.vectors)}
         self.zero_fid = self._add(0, (), atoms)
@@ -175,6 +187,12 @@ class FlatTable:
         R^d / (F + image) by one fraction-free step on a coordinate c where
         image is nonzero, c then dropped; the c with the least |image[c]|
         keeps the entries small."""
+        steps = self.contraction_steps + len(classes) - 1
+        if steps > MAX_CONTRACTION_STEPS:
+            raise GuardError(
+                "arrangement.contraction_steps", f"<= {MAX_CONTRACTION_STEPS}", steps
+            )
+        self.contraction_steps = steps
         c = min((k for k, x in enumerate(image) if x), key=lambda k: abs(image[k]))
         a = image[c]
         sub: dict[Vector, int] = {}
@@ -187,7 +205,7 @@ class FlatTable:
             z = primitive(z)
             sub[z] = sub.get(z, 0) | ybits
         i = (bits & -bits).bit_length() - 1
-        rows, _ = _insert(self.rows[fid], self.vs.vectors[i])
+        rows = _insert(self.rows[fid], self.vs.vectors[i])
         return self._add(self.masks[fid] | bits, rows, sub)
 
     def covers(self, fid: int) -> list[int]:
@@ -299,7 +317,8 @@ class IntersectionLattice:
     """
 
     def __init__(self, table: FlatTable, mobius_by_fid: list[int]):
-        self._table = table
+        # The set, not the table: the table holds on to this lattice.
+        self.vector_set = table.vs
         self._mobius = mobius_by_fid
         order = sorted(range(len(table.rows)), key=lambda f: (table.dims[f], f))
         self._order = order
@@ -311,10 +330,6 @@ class IntersectionLattice:
         }
         self.bottom = self.flats[0]
         self.top = self.flats[-1]
-
-    @property
-    def vector_set(self) -> VectorSet:
-        return self._table.vs
 
     @staticmethod
     def leq(s: Flat, t: Flat) -> bool:
@@ -338,8 +353,11 @@ def ensure_table(H: VectorSet, table: FlatTable | None = None) -> FlatTable:
 
 def build_lattice(H: VectorSet, table: FlatTable | None = None) -> IntersectionLattice:
     """Enumerate all flats by closure from the atoms and solve the Mobius
-    recursion mu(t) = -sum_{s<t} mu(s) bottom-up by dimension."""
+    recursion mu(t) = -sum_{s<t} mu(s) bottom-up by dimension, once per
+    table: the lattice is kept on the table and returned again."""
     table = ensure_table(H, table)
+    if table._lattice is not None:
+        return table._lattice
     table.close()
     nflats = len(table.rows)
     children: list[list[int]] = [[] for _ in range(nflats)]
@@ -363,7 +381,8 @@ def build_lattice(H: VectorSet, table: FlatTable | None = None) -> IntersectionL
                     stack.append(s)
                     total += mobius[s]
         mobius[fid] = -total
-    return IntersectionLattice(table, mobius)
+    table._lattice = IntersectionLattice(table, mobius)
+    return table._lattice
 
 
 def chamber_count(H: VectorSet, table: FlatTable | None = None) -> int:

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, TextIO
 
 from . import arrangement, flags, homology, threshold
@@ -19,9 +17,7 @@ from .arrangement import FlatTable, VectorSet, ensure_table, generate_sign_vecto
 from .errors import GuardError
 from .flags import OrderPermutation, WeightVector
 
-__all__ = ["RunConfig", "run", "main"]
-
-THREADS_ENV_VAR = "FLAGBOUND_THREADS"
+__all__ = ["main"]
 
 FAST_SWEEP_MAX_N = 3
 FULL_SWEEP_MAX_N = 5
@@ -32,54 +28,12 @@ SAMPLING_CHECK_COUNT = 200
 MAX_RANDOM_WEIGHT_ENTRIES = 10**6
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation; exactly one vector-set source is set."""
-
-    subcommand: str
-    n: int | None = None
-    input: str | None = None
-    weights: str = "uniform"
-    field: str = "2"
-    degree: int | None = None
-    samples: int = 10000
-    seed: int = 0
-    order_seed: int = 0
-    order_trials: int = 0
-    oracle: bool = False
-    level: str = "fast"
-    fmt: str = "text"
-    out: str | None = None
-    threads: int | None = None
-
-    def __post_init__(self):
-        if self.fmt not in ("text", "json"):
-            raise ValueError(f"format must be text or json, got {self.fmt!r}")
-        if self.subcommand in ("chambers", "lambda", "homology"):
-            if (self.n is None) == (self.input is None):
-                raise ValueError("exactly one of --n and --input is required")
-        elif self.subcommand != "verify" and self.n is None:
-            raise ValueError("--n is required")
-
-
-def _resolve_threads(config: RunConfig) -> int:
-    if config.threads is not None:
-        return config.threads
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"bad {THREADS_ENV_VAR} value {env!r}") from exc
-    return os.cpu_count() or 1
-
-
-def _load_set(config: RunConfig) -> tuple[VectorSet, dict]:
-    if config.input is not None:
-        vs = arrangement.read_vector_set(config.input)
-        return vs, {"input": config.input}
-    vs = generate_sign_vectors(config.n)
-    return vs, {"n": config.n}
+def _load_set(args: argparse.Namespace) -> tuple[VectorSet, dict]:
+    if args.input is not None:
+        vs = arrangement.read_vector_set(args.input)
+        return vs, {"input": args.input}
+    vs = generate_sign_vectors(args.n)
+    return vs, {"n": args.n}
 
 
 def _weight_vectors(spec: str, count: int) -> list[WeightVector]:
@@ -103,26 +57,26 @@ def _weight_vectors(spec: str, count: int) -> list[WeightVector]:
     return [flags.read_weight_vector(spec)]
 
 
-def _run_gen_e(config: RunConfig) -> tuple[bool, dict]:
-    vs = generate_sign_vectors(config.n)
-    if config.out is None:
+def _run_gen_e(args: argparse.Namespace) -> tuple[bool, dict]:
+    vs = generate_sign_vectors(args.n)
+    if args.out is None:
         arrangement.write_vector_set(sys.stdout, vs)
     else:
-        arrangement.write_vector_set(config.out, vs)
+        arrangement.write_vector_set(args.out, vs)
     return True, {
-        "n": config.n,
+        "n": args.n,
         "count": len(vs),
         "dim": vs.ambient_dim,
-        "path": config.out or "-",
+        "path": args.out or "-",
     }
 
 
-def _run_chambers(config: RunConfig) -> tuple[bool, dict]:
-    vs, source = _load_set(config)
+def _run_chambers(args: argparse.Namespace) -> tuple[bool, dict]:
+    vs, source = _load_set(args)
     payload = dict(source)
     payload["chambers"] = str(arrangement.chamber_count(vs))
     ok = True
-    if config.oracle:
+    if args.oracle:
         oracle = arrangement.chamber_count_dr(vs)
         payload["oracle"] = str(oracle)
         ok = payload["chambers"] == payload["oracle"]
@@ -130,59 +84,57 @@ def _run_chambers(config: RunConfig) -> tuple[bool, dict]:
     return ok, payload
 
 
-def _run_lambda(config: RunConfig) -> tuple[bool, dict]:
-    vs, source = _load_set(config)
+def _run_lambda(args: argparse.Namespace) -> tuple[bool, dict]:
+    vs, source = _load_set(args)
     table = FlatTable(vs)
     base = flags.minimal_tuple_count(vs, table=table)
     values = [
         flags.minimal_tuple_count(
-            vs, OrderPermutation.random(len(vs), config.order_seed + i), table
+            vs, OrderPermutation.random(len(vs), args.order_seed + i), table
         )
-        for i in range(config.order_trials)
+        for i in range(args.order_trials)
     ]
     payload = dict(source)
     payload["identity"] = str(base)
-    if config.order_trials:
+    if args.order_trials:
         payload["orders"] = [str(v) for v in values]
     ok = all(v == base for v in values)
     payload["order_independent"] = ok
     return ok, payload
 
 
-def _run_bound(config: RunConfig) -> tuple[bool, dict]:
-    vs = generate_sign_vectors(config.n)
+def _run_bound(args: argparse.Namespace) -> tuple[bool, dict]:
+    vs = generate_sign_vectors(args.n)
     table = FlatTable(vs)
-    vectors = _weight_vectors(config.weights, len(vs))
-    values = [flags.flag_lower_bound(config.n, p, table) for p in vectors]
+    vectors = _weight_vectors(args.weights, len(vs))
+    values = [flags.flag_lower_bound(args.n, p, table) for p in vectors]
     ok = len(set(values)) == 1
     return ok, {
-        "n": config.n,
+        "n": args.n,
         "values": [str(v) for v in values],
         "p_independent": ok,
     }
 
 
-def _run_homology(config: RunConfig) -> tuple[bool, dict]:
-    vs, source = _load_set(config)
-    degree = config.degree if config.degree is not None else vs.ambient_dim - 2
-    rank = homology.homology_rank(vs, degree, config.field)
+def _run_homology(args: argparse.Namespace) -> tuple[bool, dict]:
+    vs, source = _load_set(args)
+    degree = args.degree if args.degree is not None else vs.ambient_dim - 2
+    rank = homology.homology_rank(vs, degree, args.field)
     payload = dict(source)
     payload["degree"] = degree
-    payload["field"] = config.field
+    payload["field"] = args.field
     payload["rank"] = str(rank)
     return True, payload
 
 
-def _run_count_threshold(config: RunConfig) -> tuple[bool, dict]:
-    count = threshold.count_threshold_functions(config.n, _resolve_threads(config))
-    return True, {"n": config.n, "count": str(count)}
+def _run_count_threshold(args: argparse.Namespace) -> tuple[bool, dict]:
+    count = threshold.count_threshold_functions(args.n)
+    return True, {"n": args.n, "count": str(count)}
 
 
-def _run_report(config: RunConfig) -> tuple[bool, dict]:
-    vectors = _weight_vectors(config.weights, 1 << config.n)
-    rep = threshold.bounds_report(
-        config.n, vectors[0], threads=_resolve_threads(config)
-    )
+def _run_report(args: argparse.Namespace) -> tuple[bool, dict]:
+    vectors = _weight_vectors(args.weights, 1 << args.n)
+    rep = threshold.bounds_report(args.n, vectors[0])
     payload: dict = {"n": rep.n}
     payload["lower_bound"] = str(rep.lower_bound)
     payload["two_lambda"] = str(rep.two_lambda)
@@ -193,7 +145,7 @@ def _run_report(config: RunConfig) -> tuple[bool, dict]:
     return True, payload
 
 
-def _verify_one(n: int, level: str, threads: int) -> list[dict]:
+def _verify_one(n: int, level: str) -> list[dict]:
     full = level == "full"
     weight_trials = 10 if full else 5
     order_trials = 20 if full else 5
@@ -255,7 +207,7 @@ def _verify_one(n: int, level: str, threads: int) -> list[dict]:
         return ok, f"mean {mean}, stderr {err}"
 
     def bound_chain():
-        rep = threshold.bounds_report(n, "uniform", table, threads)
+        rep = threshold.bounds_report(n, "uniform", table)
         parts = [str(rep.lower_bound), str(rep.chambers), str(rep.schlafli)]
         return True, " <= ".join(parts)
 
@@ -272,19 +224,18 @@ def _verify_one(n: int, level: str, threads: int) -> list[dict]:
     return checks
 
 
-def _run_verify(config: RunConfig) -> tuple[bool, dict]:
-    threads = _resolve_threads(config)
-    if config.n is not None:
-        targets = [config.n]
-    elif config.level == "full":
+def _run_verify(args: argparse.Namespace) -> tuple[bool, dict]:
+    if args.n is not None:
+        targets = [args.n]
+    elif args.level == "full":
         targets = list(range(1, FULL_SWEEP_MAX_N + 1))
     else:
         targets = list(range(1, FAST_SWEEP_MAX_N + 1))
     checks: list[dict] = []
     for n in targets:
-        checks.extend(_verify_one(n, config.level, threads))
+        checks.extend(_verify_one(n, args.level))
     ok = all(c["ok"] for c in checks)
-    return ok, {"level": config.level, "checks": checks, "ok": ok}
+    return ok, {"level": args.level, "checks": checks, "ok": ok}
 
 
 _HANDLERS = {
@@ -297,12 +248,6 @@ _HANDLERS = {
     "verify": _run_verify,
     "report": _run_report,
 }
-
-
-def run(config: RunConfig) -> tuple[int, dict]:
-    """Dispatch one subcommand; exit status 0 iff every check passed."""
-    ok, payload = _HANDLERS[config.subcommand](config)
-    return (0 if ok else 1), payload
 
 
 def _render_text(subcommand: str, payload: dict, fh: TextIO) -> None:
@@ -318,19 +263,19 @@ def _render_text(subcommand: str, payload: dict, fh: TextIO) -> None:
         fh.write(f"{key}: {value}\n")
 
 
-def _emit(config: RunConfig, payload: dict) -> None:
-    if config.subcommand == "gen-e" and config.out is None:
+def _emit(args: argparse.Namespace, payload: dict) -> None:
+    if args.subcommand == "gen-e" and args.out is None:
         return
     out: TextIO
-    if config.out is not None and config.subcommand != "gen-e":
-        out = open(config.out, "w", encoding="ascii")
+    if args.out is not None and args.subcommand != "gen-e":
+        out = open(args.out, "w", encoding="ascii")
     else:
         out = sys.stdout
     try:
-        if config.fmt == "json":
+        if args.fmt == "json":
             out.write(json.dumps(payload, separators=(",", ":")) + "\n")
         else:
-            _render_text(config.subcommand, payload, out)
+            _render_text(args.subcommand, payload, out)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -349,7 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", default=None, help="vector-set file")
         p.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
         p.add_argument("--out", default=None, help="write output here instead of stdout")
-        p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("gen-e", help="write the sign-vector set")
     common(p, n_only=True)
@@ -386,28 +330,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {
-        "subcommand": args.subcommand,
-        "n": args.n,
-        "fmt": args.fmt,
-        "out": args.out,
-        "threads": args.threads,
-    }
-    for name in ("input", "weights", "degree", "order_seed", "order_trials",
-                 "oracle", "level"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    if hasattr(args, "field"):
-        fields["field"] = args.field
-    return RunConfig(**fields)
+def _check_source(args: argparse.Namespace) -> None:
+    """The vector-set source rules the parser cannot state on its own."""
+    if args.subcommand in ("chambers", "lambda", "homology"):
+        if (args.n is None) == (args.input is None):
+            raise ValueError("exactly one of --n and --input is required")
+    elif args.subcommand != "verify" and args.n is None:
+        raise ValueError("--n is required")
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  Exit status 0 when every check passed, 1 when
+    one failed, 2 on a usage error or a guard."""
     args = _build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        code, payload = run(config)
+        _check_source(args)
+        ok, payload = _HANDLERS[args.subcommand](args)
     except GuardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -419,8 +357,8 @@ def main(argv: list[str] | None = None) -> int:
         # a failed check, not a usage error.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(config, payload)
-    return code
+    _emit(args, payload)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

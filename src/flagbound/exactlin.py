@@ -15,16 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Vector = tuple[int, ...]
 
 __all__ = [
     "Vector",
     "SubspaceBasis",
-    "EliminationState",
-    "empty_state",
-    "incremental_rank_extend",
     "span",
     "contains",
     "rank",
@@ -77,11 +74,12 @@ def _reduce(rows: Sequence[Vector], v: Sequence[int]) -> list[int]:
     return w
 
 
-def _insert(rows: tuple[Vector, ...], v: Sequence[int]) -> tuple[tuple[Vector, ...], bool]:
-    """Absorb v into an RREF row set; report whether the row space grew."""
+def _insert(rows: tuple[Vector, ...], v: Sequence[int]) -> tuple[Vector, ...]:
+    """Absorb v into an RREF row set; the rows come back unchanged when v
+    already lies in their span."""
     w = _reduce(rows, v)
     if not any(w):
-        return rows, False
+        return rows
     new = primitive(w)
     c = _pivot_col(new)
     # Clear the new pivot column in the existing rows to restore full RREF.
@@ -94,7 +92,7 @@ def _insert(rows: tuple[Vector, ...], v: Sequence[int]) -> tuple[tuple[Vector, .
         fixed.append(row)
     fixed.append(new)
     fixed.sort(key=_pivot_col)
-    return tuple(fixed), True
+    return tuple(fixed)
 
 
 @dataclass(frozen=True)
@@ -133,41 +131,6 @@ class SubspaceBasis:
         return contains(self, v)
 
 
-@dataclass(frozen=True)
-class EliminationState:
-    """Value-type elimination state for incremental rank tracking."""
-
-    ambient_dim: int
-    rows: tuple[Vector, ...] = ()
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def to_subspace(self) -> SubspaceBasis:
-        return SubspaceBasis(self.ambient_dim, self.rows)
-
-
-def empty_state(ambient_dim: int) -> EliminationState:
-    if ambient_dim < 1:
-        raise ValueError(f"ambient dimension must be >= 1, got {ambient_dim}")
-    return EliminationState(ambient_dim)
-
-
-def incremental_rank_extend(
-    state: EliminationState, v: Sequence[int]
-) -> tuple[EliminationState, bool]:
-    """Absorb v into the state; the flag reports whether the rank grew."""
-    if len(v) != state.ambient_dim:
-        raise ValueError(
-            f"vector of length {len(v)} in ambient dimension {state.ambient_dim}"
-        )
-    rows, grew = _insert(state.rows, _as_vector(v))
-    if not grew:
-        return state, False
-    return EliminationState(state.ambient_dim, rows), True
-
-
 def _common_dim(vectors: Sequence[Sequence[int]], ambient_dim: int | None) -> int:
     if vectors:
         d = len(vectors[0])
@@ -191,10 +154,12 @@ def span(
     be given explicitly.
     """
     d = _common_dim(vectors, ambient_dim)
-    state = empty_state(d)
+    if d < 1:
+        raise ValueError(f"ambient dimension must be >= 1, got {d}")
+    rows: tuple[Vector, ...] = ()
     for v in vectors:
-        state, _ = incremental_rank_extend(state, v)
-    return state.to_subspace()
+        rows = _insert(rows, _as_vector(v))
+    return SubspaceBasis(d, rows)
 
 
 def contains(s: SubspaceBasis, v: Sequence[int]) -> bool:

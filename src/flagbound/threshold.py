@@ -8,7 +8,6 @@ the lattice and flag machinery it is reconciled against.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -152,27 +151,15 @@ def is_threshold(f: BooleanFunction) -> bool:
     return _feasible(rows, f.n + 1)
 
 
-def _count_range(n: int, lo: int, hi: int) -> int:
-    total = 0
-    for code in range(lo, hi):
-        if is_threshold(BooleanFunction.from_int(n, code)):
-            total += 1
-    return total
-
-
-def count_threshold_functions(n: int, threads: int | None = None) -> int:
+def count_threshold_functions(n: int) -> int:
     """Exhaustive count over all 2^(2^n) truth tables."""
     if not 1 <= n <= CENSUS_MAX_N:
         raise GuardError("count_threshold_functions.n", f"1 <= n <= {CENSUS_MAX_N}", n)
-    size = 1 << (1 << n)
-    if not threads or threads <= 1 or size < 256:
-        return _count_range(n, 0, size)
-    chunks = max(threads * 8, 1)
-    step = -(-size // chunks)
-    spans = [(lo, min(lo + step, size)) for lo in range(0, size, step)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda s: _count_range(n, *s), spans)
-        return sum(parts)
+    total = 0
+    for code in range(1 << (1 << n)):
+        if is_threshold(BooleanFunction.from_int(n, code)):
+            total += 1
+    return total
 
 
 @dataclass(frozen=True)
@@ -192,7 +179,6 @@ def bounds_report(
     n: int,
     p: WeightVector | str = "uniform",
     table: FlatTable | None = None,
-    threads: int | None = None,
 ) -> BoundsReport:
     """Assemble the bound chain 2 * flag sum = 2 * minimal tuples
     <= chambers <= cell bound, raising if any link fails."""
@@ -207,7 +193,7 @@ def bounds_report(
     lower = 2 * flag_weighted_sum(H, p, table)
     two_lambda = 2 * minimal_tuple_count(H, table=table)
     chambers = chamber_count(H, table)
-    brute = count_threshold_functions(n, threads) if n <= CENSUS_MAX_N else None
+    brute = count_threshold_functions(n) if n <= CENSUS_MAX_N else None
     upper = schlafli_bound(n)
     if lower != two_lambda:
         raise RuntimeError(f"flag sum bound {lower} != tuple bound {two_lambda}")

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import flagbound.arrangement
 from flagbound.arrangement import (
     FlatTable,
     IntersectionLattice,
@@ -178,6 +179,30 @@ def test_e5_lattice_sizes():
     assert by_dim == [1, 32, 496, 2800, 5780, 3254, 1]
     assert sum(by_dim) == 12364
     assert sum(len(table.covers(f)) for f in range(len(table.rows))) == 89878
+
+
+def test_lattice_built_once_per_table():
+    H = generate_sign_vectors(3)
+    table = FlatTable(H)
+    assert build_lattice(H, table) is build_lattice(H, table)
+    assert chamber_count(H, table) == 104
+    assert build_lattice(H) is not build_lattice(H)
+
+
+def test_contraction_steps_counted_and_guarded(monkeypatch):
+    # Ten vectors in general position in R^2: each atom is one contraction
+    # of the zero flat, which steps the other nine classes; the top flat is
+    # one class of an atom and costs no step.
+    vs = VectorSet(tuple((1, k) for k in range(10)), 2)
+    table = FlatTable(vs)
+    table.close()
+    assert table.contraction_steps == 10 * 9
+    e4 = FlatTable(generate_sign_vectors(4))
+    e4.close()
+    assert e4.contraction_steps == 4558
+    monkeypatch.setattr(flagbound.arrangement, "MAX_CONTRACTION_STEPS", 89)
+    with pytest.raises(GuardError):
+        FlatTable(vs).close()
 
 
 def test_flat_table_interning(sign_tables):

@@ -6,7 +6,12 @@ import pytest
 import flagbound.arrangement
 import flagbound.homology
 import flagbound.threshold
-from flagbound.arrangement import generate_sign_vectors, read_vector_set, write_vector_set
+from flagbound.arrangement import (
+    VectorSet,
+    generate_sign_vectors,
+    read_vector_set,
+    write_vector_set,
+)
 from flagbound.cli import main
 
 
@@ -135,6 +140,17 @@ def test_flat_guard_exit_code(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_contraction_guard_exit_code(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(flagbound.arrangement, "MAX_CONTRACTION_STEPS", 1000)
+    path = tmp_path / "line50.txt"
+    write_vector_set(str(path), VectorSet(tuple((1, k) for k in range(50)), 2))
+    code, out, err = run(capsys, ["chambers", "--input", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: guard 'arrangement.contraction_steps'")
+    assert "Traceback" not in err
+
+
 def test_random_weights_guard_exit_code(capsys):
     code, out, err = run(
         capsys, ["bound", "--n", "2", "--weights", "random:0:250001"])
@@ -160,6 +176,20 @@ def test_verify_full_n1(capsys):
     assert {"chambers-vs-oracle", "flag-sum-constant", "order-invariance",
             "homology-rank", "mobius-by-flat", "sampled-constancy",
             "bound-chain"} == names
+
+
+def test_verify_builds_one_lattice(capsys, monkeypatch):
+    built = []
+    original = flagbound.arrangement.IntersectionLattice
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(flagbound.arrangement, "IntersectionLattice", counting)
+    code, _, _ = run(capsys, ["verify", "--n", "3", "--level", "full"])
+    assert code == 0
+    assert len(built) == 1
 
 
 def test_verify_fast_sweep(capsys):
@@ -188,7 +218,7 @@ def test_guard_exit_code(capsys):
                                   ["verify", "--n", "2"]])
 def test_failed_bound_chain_exit_code(capsys, monkeypatch, argv):
     monkeypatch.setattr(flagbound.threshold, "count_threshold_functions",
-                        lambda n, threads=None: 13)
+                        lambda n: 13)
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""
@@ -200,6 +230,20 @@ def test_missing_source_exit_code(capsys):
     code, _, err = run(capsys, ["chambers"])
     assert code == 2
     assert "exactly one" in err
+
+
+def test_missing_n_exit_code(capsys):
+    code, out, err = run(capsys, ["report"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --n is required\n"
+
+
+def test_threads_option_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count-threshold", "--n", "2", "--threads", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_conflicting_sources_exit_code(capsys, tmp_path):
@@ -223,26 +267,3 @@ def test_malformed_input_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, ["chambers", "--input", str(path)])
     assert code == 2
     assert err.startswith("error:")
-
-
-def test_threads_env_honored(capsys, monkeypatch):
-    monkeypatch.setenv("FLAGBOUND_THREADS", "2")
-    code, out, _ = run(capsys, ["count-threshold", "--n", "2", "--format", "json"])
-    assert code == 0
-    assert json.loads(out)["count"] == "14"
-
-
-def test_threads_env_invalid(capsys, monkeypatch):
-    monkeypatch.setenv("FLAGBOUND_THREADS", "abc")
-    code, _, err = run(capsys, ["count-threshold", "--n", "2"])
-    assert code == 2
-    assert "FLAGBOUND_THREADS" in err
-
-
-def test_threads_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("FLAGBOUND_THREADS", "abc")
-    code, out, _ = run(
-        capsys, ["count-threshold", "--n", "2", "--threads", "1",
-                 "--format", "json"])
-    assert code == 0
-    assert json.loads(out)["count"] == "14"

@@ -6,8 +6,6 @@ import pytest
 from flagbound.exactlin import (
     SubspaceBasis,
     contains,
-    empty_state,
-    incremental_rank_extend,
     primitive,
     rank,
     span,
@@ -72,24 +70,6 @@ def test_rank_examples():
     assert rank([(1, 1), (-1, -1)]) == 1
 
 
-def test_incremental_extend_flags():
-    st = empty_state(2)
-    st, grew = incremental_rank_extend(st, (1, 1))
-    assert grew and st.rank == 1
-    st2, grew = incremental_rank_extend(st, (2, 2))
-    assert not grew and st2 is st
-
-
-def test_incremental_extend_three_dims():
-    st = empty_state(3)
-    for v in ((1, 1, 1), (1, 1, -1)):
-        st, grew = incremental_rank_extend(st, v)
-        assert grew
-    st, grew = incremental_rank_extend(st, (1, -1, 1))
-    assert grew
-    assert st.rank == 3
-
-
 def test_dimension_mismatch_errors():
     with pytest.raises(ValueError):
         span([(1, 1), (1, 1, 1)])
@@ -97,8 +77,6 @@ def test_dimension_mismatch_errors():
         span([], ambient_dim=None)
     with pytest.raises(ValueError):
         contains(span([(1, 1)]), (1, 1, 1))
-    with pytest.raises(ValueError):
-        incremental_rank_extend(empty_state(2), (1, 2, 3))
 
 
 def test_primitive_normalization():
@@ -126,22 +104,6 @@ def test_canonical_idempotence_and_permutation_invariance():
         assert span(shuffled, ambient_dim=d) == s
         for v in vecs:
             assert contains(s, v)
-
-
-def test_rank_matches_incremental_flags():
-    rng = random.Random(5)
-    for _ in range(30):
-        d = rng.randint(1, 5)
-        vecs = [
-            tuple(rng.randint(-10, 10) for _ in range(d))
-            for _ in range(rng.randint(1, 7))
-        ]
-        st = empty_state(d)
-        grew_count = 0
-        for v in vecs:
-            st, grew = incremental_rank_extend(st, v)
-            grew_count += grew
-        assert grew_count == rank(vecs)
 
 
 def test_exactness_against_fraction_oracle():

@@ -105,12 +105,6 @@ def test_guards():
         is_threshold(BooleanFunction(11, (0,) * 2048))
 
 
-def test_thread_count_does_not_change_census():
-    single = count_threshold_functions(3, threads=1)
-    pooled = count_threshold_functions(3, threads=4)
-    assert single == pooled == 104
-
-
 def test_bounds_report_n1():
     r = bounds_report(1)
     assert (r.lower_bound, r.two_lambda, r.chambers, r.brute_force, r.schlafli) \
