@@ -10,6 +10,7 @@ lattice Mobius function flat by flat.
 """
 
 from flagbound import (
+    FlatTable,
     build_lattice,
     generate_sign_vectors,
     homology_rank,
@@ -24,12 +25,12 @@ for n in (1, 2, 3):
     print(f"n={n}: minimal tuple count {lam}, ranks by field {ranks}")
 
 H = generate_sign_vectors(2)
-lattice = build_lattice(H)
+table = FlatTable(H)
+lattice = build_lattice(H, table)
 print("flat-by-flat comparison at n=2:")
-for flat in lattice.flats:
-    if flat.dim < 1:
-        continue
-    mu = lattice.mobius[flat]
-    via_rank = mobius_via_homology(H, flat)
-    print(f"  flat dim {flat.dim} members {flat.members}: "
-          f"mu {mu}, homology rank {via_rank}")
+for dim, fids in enumerate(table.fids_by_dim()[1:], start=1):
+    for fid in fids:
+        mu = lattice.mobius[fid]
+        via_rank = mobius_via_homology(table, fid)
+        print(f"  flat dim {dim} members {table.members(fid)}: "
+              f"mu {mu}, homology rank {via_rank}")

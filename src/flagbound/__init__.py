@@ -9,7 +9,6 @@ census by exact separability tests.
 """
 
 from .arrangement import (
-    Flat,
     FlatTable,
     IntersectionLattice,
     VectorSet,
@@ -65,7 +64,6 @@ __all__ = [
     "BooleanFunction",
     "BoundsReport",
     "ComplexSlice",
-    "Flat",
     "FlatTable",
     "FullFlag",
     "GuardError",

@@ -13,17 +13,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 from .errors import GuardError
-from .exactlin import (
-    SubspaceBasis,
-    Vector,
-    _insert,
-    primitive,
-    rank,
-)
+from .exactlin import Vector, _insert, primitive, rank
 
 __all__ = [
     "VectorSet",
-    "Flat",
     "IntersectionLattice",
     "FlatTable",
     "ensure_table",
@@ -253,9 +246,6 @@ class FlatTable:
             out[self.dims[fid]].append(fid)
         return out
 
-    def subspace(self, fid: int) -> SubspaceBasis:
-        return SubspaceBasis(self.vs.ambient_dim, self.rows[fid])
-
     def members(self, fid: int) -> tuple[int, ...]:
         out = self._members_memo.get(fid)
         if out is None:
@@ -296,50 +286,25 @@ class FlatTable:
         return layer
 
 
-@dataclass(frozen=True)
-class Flat:
-    """A flat of the arrangement: a subspace plus the normals lying in it."""
-
-    subspace: SubspaceBasis
-    members: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.subspace.dim
-
-
 class IntersectionLattice:
-    """The poset of flats ordered by inclusion, with Mobius values from 0-hat.
+    """The flats of one FlatTable, named by their ids and ordered by
+    inclusion, with Mobius values from the zero flat.
 
-    Ordering is containment of member sets, which for flats coincides with
-    subspace inclusion.  Mobius values satisfy mu(0) = 1 and, for t > 0,
-    sum_{s <= t} mu(s) = 0.
+    mobius[fid] satisfies mu(0) = 1 and, for t > 0, sum_{s <= t} mu(s) = 0.
     """
 
-    def __init__(self, table: FlatTable, mobius_by_fid: list[int]):
-        # The set, not the table: the table holds on to this lattice.
-        self.vector_set = table.vs
-        self._mobius = mobius_by_fid
-        order = sorted(range(len(table.rows)), key=lambda f: (table.dims[f], f))
-        self._order = order
-        self.flats: tuple[Flat, ...] = tuple(
-            Flat(table.subspace(f), table.members(f)) for f in order
-        )
-        self.mobius: dict[Flat, int] = {
-            flat: mobius_by_fid[f] for flat, f in zip(self.flats, order)
-        }
-        self.bottom = self.flats[0]
-        self.top = self.flats[-1]
+    def __init__(self, table: FlatTable, mobius: list[int]):
+        # The masks, not the table: the table holds on to this lattice.
+        self._masks = table.masks
+        self.mobius = mobius
 
-    @staticmethod
-    def leq(s: Flat, t: Flat) -> bool:
-        if s.dim == 0:
-            return True
-        sm = set(s.members)
-        return sm.issubset(t.members) and s.dim <= t.dim
+    def leq(self, s: int, t: int) -> bool:
+        """Containment of member masks, which for flats coincides with
+        subspace inclusion."""
+        return self._masks[s] & ~self._masks[t] == 0
 
     def chamber_count(self) -> int:
-        return sum(abs(m) for m in self._mobius)
+        return sum(abs(m) for m in self.mobius)
 
 
 def ensure_table(H: VectorSet, table: FlatTable | None = None) -> FlatTable:

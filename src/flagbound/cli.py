@@ -26,6 +26,13 @@ FLAT_CHECK_MAX_N = 3
 SAMPLING_CHECK_MAX_N = 3
 SAMPLING_CHECK_COUNT = 200
 MAX_RANDOM_WEIGHT_ENTRIES = 10**6
+# Guard on the order walks of `lambda`, the identity walk and one per
+# --order-trials, counted in cover edges.  A walk costs about 0.5 µs per
+# cover edge (E_5: 89,878 edges, 0.043 s) plus about 20 µs per call,
+# counted as ORDER_WALK_CALL_EDGES more edges (E_1: 4 edges, 25 µs), so
+# the limit is about 50 s of walks on 2 CPUs (Python 3.11).
+MAX_ORDER_WALK_EDGES = 10**8
+ORDER_WALK_CALL_EDGES = 40
 
 
 def _load_set(args: argparse.Namespace) -> tuple[VectorSet, dict]:
@@ -85,8 +92,15 @@ def _run_chambers(args: argparse.Namespace) -> tuple[bool, dict]:
 
 
 def _run_lambda(args: argparse.Namespace) -> tuple[bool, dict]:
+    if args.order_trials < 0:
+        raise ValueError(f"--order-trials must be >= 0, got {args.order_trials}")
     vs, source = _load_set(args)
     table = FlatTable(vs)
+    table.close()
+    edges = sum(len(table.covers(f)) for f in range(len(table.rows)))
+    work = (args.order_trials + 1) * (edges + ORDER_WALK_CALL_EDGES)
+    if work > MAX_ORDER_WALK_EDGES:
+        raise GuardError("lambda.order_walk_edges", f"<= {MAX_ORDER_WALK_EDGES}", work)
     base = flags.minimal_tuple_count(vs, table=table)
     values = [
         flags.minimal_tuple_count(
@@ -151,6 +165,7 @@ def _verify_one(n: int, level: str) -> list[dict]:
     order_trials = 20 if full else 5
     vs = generate_sign_vectors(n)
     table = FlatTable(vs)
+    lam = flags.minimal_tuple_count(vs, table=table)
     checks: list[dict] = []
 
     def add(name: str, fn: Callable[[], tuple[bool, str]]) -> None:
@@ -163,7 +178,6 @@ def _verify_one(n: int, level: str) -> list[dict]:
         return a == b, f"lattice {a}, oracle {b}"
 
     def flag_sum_constant():
-        lam = flags.minimal_tuple_count(vs, table=table)
         sums = {
             flags.flag_weighted_sum(vs, WeightVector.random(len(vs), s), table)
             for s in range(weight_trials)
@@ -172,7 +186,6 @@ def _verify_one(n: int, level: str) -> list[dict]:
         return ok, f"{weight_trials} weight vectors -> {sorted(map(str, sums))}, tuples {lam}"
 
     def order_invariance():
-        lam = flags.minimal_tuple_count(vs, table=table)
         vals = {
             flags.minimal_tuple_count(vs, OrderPermutation.random(len(vs), s), table)
             for s in range(order_trials)
@@ -180,7 +193,6 @@ def _verify_one(n: int, level: str) -> list[dict]:
         return vals == {lam}, f"{order_trials} orders -> {sorted(vals)}"
 
     def homology_match():
-        lam = flags.minimal_tuple_count(vs, table=table)
         fields = ["2", "3", "Q"] if full else ["2"]
         ranks = {f: homology.homology_rank(vs, n - 1, f, table) for f in fields}
         ok = all(r == lam for r in ranks.values())
@@ -190,16 +202,15 @@ def _verify_one(n: int, level: str) -> list[dict]:
         lattice = arrangement.build_lattice(vs, table)
         bad = 0
         total = 0
-        for u in lattice.flats:
-            if u.dim < 1:
+        for fid, mu in enumerate(lattice.mobius):
+            if table.dims[fid] < 1:
                 continue
             total += 1
-            if homology.mobius_via_homology(vs, u, "2") != abs(lattice.mobius[u]):
+            if homology.mobius_via_homology(table, fid, "2") != abs(mu):
                 bad += 1
         return bad == 0, f"{total} flats, {bad} mismatches"
 
     def sampled_constancy():
-        lam = flags.minimal_tuple_count(vs, table=table)
         mean, err = flags.monte_carlo_expectation(
             vs, WeightVector.uniform(len(vs)), SAMPLING_CHECK_COUNT, 0, table
         )

@@ -75,16 +75,6 @@ class FullFlag:
     product: int
     top_members: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(a <= b for a, b in zip(self.counts, self.counts[1:])):
-            raise ValueError(f"member counts {self.counts} not strictly nested")
-        if self.counts and self.counts[-1] < 1:
-            raise ValueError(f"member count below 1 in {self.counts}")
-        if self.product != math.prod(self.counts):
-            raise ValueError("product does not match member counts")
-        if self.counts and len(self.top_members) != self.counts[0]:
-            raise ValueError("top_members size disagrees with outermost count")
-
 
 @dataclass(frozen=True)
 class WeightVector:
@@ -329,8 +319,8 @@ def minimal_tuple_count(
 
 
 def _suffix_flats(table: FlatTable, indices: Sequence[int]) -> list[int]:
-    """Flat ids of the nested suffix spans, innermost first; ValueError if
-    the tuple is linearly dependent."""
+    """Ids of the flats of the nested suffix spans, innermost first;
+    ValueError if the tuple is linearly dependent."""
     fid = table.zero_fid
     out = []
     for i in reversed(indices):

@@ -11,11 +11,10 @@ which is what ties the weighted flag sum to chamber counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .arrangement import Flat, FlatTable, VectorSet, ensure_table
+from .arrangement import FlatTable, VectorSet, ensure_table
 from .errors import GuardError
 
 __all__ = [
@@ -30,6 +29,10 @@ __all__ = [
 # per nonzero (the E_5 top slice: 3,106,880 nonzeros, 240 MB peak under
 # tracemalloc, Python 3.11), so a slice at the limit stays near 1 GB.
 MAX_BOUNDARY_NONZEROS = 10**7
+# Bound on a prime field's order: _is_prime tests by trial division up to
+# sqrt(p): 4 ms at 2^31 - 1 (2 CPUs, Python 3.11), so about 2 minutes at
+# 2^61 - 1.
+MAX_FIELD_PRIME = 2**31
 
 
 def _is_prime(p: int) -> bool:
@@ -49,6 +52,8 @@ def _check_field(fld) -> int | str:
             fld = int(fld)
         else:
             raise ValueError(f"unknown field {fld!r}, expected a prime or 'Q'")
+    if fld > MAX_FIELD_PRIME:
+        raise GuardError("homology.field", f"<= {MAX_FIELD_PRIME}", fld)
     if not _is_prime(fld):
         raise ValueError(f"{fld} is not prime")
     return fld
@@ -74,12 +79,16 @@ class ComplexSlice:
 
 
 def _subsets_with_proper_span(
-    table: FlatTable, sizes: Sequence[int], reduced: bool
+    table: FlatTable,
+    candidates: Sequence[int],
+    dim: int,
+    sizes: Sequence[int],
+    reduced: bool,
 ) -> dict[int, list[tuple[int, ...]]]:
-    """All vector subsets of the given sizes spanning a proper subspace,
-    each as a sorted index tuple, in lexicographic order."""
-    d = table.vs.ambient_dim
-    T = len(table.vs)
+    """All subsets of the candidate vectors, of the given sizes, whose span
+    has dimension below dim, each as a sorted index tuple, in lexicographic
+    order.  The candidates must span a subspace of dimension dim."""
+    count = len(candidates)
     wanted = {k for k in sizes if k >= 0}
     max_size = max(wanted, default=-1)
     out: dict[int, list[tuple[int, ...]]] = {k: [] for k in sizes}
@@ -103,12 +112,13 @@ def _subsets_with_proper_span(
             record(k, tuple(current))
         if k == max_size:
             return
-        for i in range(start, T):
+        for j in range(start, count):
+            i = candidates[j]
             cid = table.extend(fid, i)
-            if table.dims[cid] == d:
+            if table.dims[cid] == dim:
                 continue
             current.append(i)
-            walk(cid, i + 1)
+            walk(cid, j + 1)
             current.pop()
 
     walk(table.zero_fid, 0)
@@ -134,15 +144,10 @@ def _boundary_columns(
     return tuple(columns)
 
 
-def build_complex_slice(
-    H: VectorSet,
-    m: int,
-    table: FlatTable | None = None,
-    reduced: bool = True,
+def _slice(
+    table: FlatTable, candidates: Sequence[int], dim: int, m: int, reduced: bool
 ) -> ComplexSlice:
-    """Materialize the degree-m slice of the proper-span complex of H."""
-    table = ensure_table(H, table)
-    layers = _subsets_with_proper_span(table, (m, m + 1, m + 2), reduced)
+    layers = _subsets_with_proper_span(table, candidates, dim, (m, m + 1, m + 2), reduced)
     faces = tuple(layers[m])
     simplices = tuple(layers[m + 1])
     cofaces = tuple(layers[m + 2])
@@ -154,6 +159,17 @@ def build_complex_slice(
         boundary_out=_boundary_columns(faces, simplices),
         boundary_in=_boundary_columns(simplices, cofaces),
     )
+
+
+def build_complex_slice(
+    H: VectorSet,
+    m: int,
+    table: FlatTable | None = None,
+    reduced: bool = True,
+) -> ComplexSlice:
+    """Materialize the degree-m slice of the proper-span complex of H."""
+    table = ensure_table(H, table)
+    return _slice(table, range(len(H)), H.ambient_dim, m, reduced)
 
 
 def _rank_mod_p(columns: Sequence[dict[int, int]], p: int) -> int:
@@ -210,20 +226,12 @@ def _rank(columns: Sequence[dict[int, int]], fld: int | str) -> int:
     return _rank_mod_p(columns, fld)
 
 
-def _reduced_rank(
-    H: VectorSet,
-    m: int,
-    fld: int | str,
-    table: FlatTable | None,
-    reduced: bool,
-) -> int:
-    sl = build_complex_slice(H, m, table, reduced)
+def _slice_rank(sl: ComplexSlice, fld: int | str) -> int:
+    """nullity(boundary_out) - rank(boundary_in) over the given field."""
     middle = len(sl.simplices)
     if middle == 0:
         return 0
-    rank_out = _rank(sl.boundary_out, fld)
-    rank_in = _rank(sl.boundary_in, fld)
-    return middle - rank_out - rank_in
+    return middle - _rank(sl.boundary_out, fld) - _rank(sl.boundary_in, fld)
 
 
 def homology_rank(
@@ -238,38 +246,21 @@ def homology_rank(
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
     fld = _check_field(fld)
-    return _reduced_rank(H, m, fld, table, reduced)
+    return _slice_rank(build_complex_slice(H, m, table, reduced), fld)
 
 
-def _restrict_to_flat(H: VectorSet, u: Flat) -> VectorSet:
-    """The member vectors of u rewritten in integer coordinates over a
-    basis of u, so the flat becomes a full-dimensional set of its own."""
-    rows = u.subspace.rows
-    pivot_cols = [next(j for j, x in enumerate(r) if x) for r in rows]
-    rewritten = []
-    for idx in u.members:
-        w = H[idx]
-        coords = [
-            Fraction(w[pc], rows[k][pc]) for k, pc in enumerate(pivot_cols)
-        ]
-        den = 1
-        for c in coords:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in coords]
-        content = gcd(*ints)
-        rewritten.append(tuple(v // content for v in ints))
-    return VectorSet(tuple(rewritten), u.dim)
+def mobius_via_homology(table: FlatTable, fid: int, fld: int | str = 2) -> int:
+    """Magnitude of the Mobius value of flat fid of the table, read off as
+    the rank of the reduced homology, in degree (dim - 2), of the complex of
+    its member subsets with a proper span.  The flats below fid are the
+    lattice of the arrangement localized at fid, so this is the top-degree
+    complex of that localization, walked inside the same table.
 
-
-def mobius_via_homology(H: VectorSet, u: Flat, fld: int | str = 2) -> int:
-    """Magnitude of the Mobius value of a flat, read off as the rank of the
-    restricted complex's reduced homology in degree (dim u - 2).
-
-    For a one-dimensional flat the restricted complex is empty and the
-    degree is -1; the empty simplex alone survives, giving rank 1.
+    For a one-dimensional flat the complex is empty and the degree is -1;
+    the empty simplex alone survives, giving rank 1.
     """
-    if u.dim < 1:
+    dim = table.dims[fid]
+    if dim < 1:
         raise ValueError("flat must have dimension >= 1")
     fld = _check_field(fld)
-    sub = _restrict_to_flat(H, u)
-    return _reduced_rank(sub, u.dim - 2, fld, None, True)
+    return _slice_rank(_slice(table, table.members(fid), dim, dim - 2, True), fld)

@@ -19,7 +19,7 @@ from flagbound.arrangement import (
     write_vector_set,
 )
 from flagbound.errors import GuardError
-from flagbound.exactlin import span
+from flagbound.exactlin import SubspaceBasis, span
 
 from conftest import random_spanning_set
 
@@ -75,19 +75,22 @@ def test_vector_set_validation():
 
 
 def test_lattice_n1_structure():
-    L = build_lattice(generate_sign_vectors(1))
-    assert [f.dim for f in L.flats] == [0, 1, 1, 2]
-    assert L.bottom.members == ()
-    assert L.top.members == (0, 1)
-    assert L.mobius[L.bottom] == 1
-    assert L.mobius[L.top] == 1
-    assert sorted(L.mobius.values()) == [-1, -1, 1, 1]
+    H = generate_sign_vectors(1)
+    table = FlatTable(H)
+    L = build_lattice(H, table)
+    assert sorted(table.dims) == [0, 1, 1, 2]
+    top = table.dims.index(2)
+    assert table.members(table.zero_fid) == ()
+    assert table.members(top) == (0, 1)
+    assert L.mobius[table.zero_fid] == 1
+    assert L.mobius[top] == 1
+    assert sorted(L.mobius) == [-1, -1, 1, 1]
     assert L.chamber_count() == 4
 
 
 def test_lattice_n2_mobius_multiset():
     L = build_lattice(generate_sign_vectors(2))
-    values = sorted(L.mobius.values())
+    values = sorted(L.mobius)
     assert values == [-3, -1, -1, -1, -1, 1, 1, 1, 1, 1, 1, 1]
     assert sum(abs(v) for v in values) == 14
     assert L.chamber_count() == 14
@@ -95,34 +98,36 @@ def test_lattice_n2_mobius_multiset():
 
 def test_atoms_match_vector_count(sign_tables):
     for n, (H, table) in sign_tables.items():
-        L = build_lattice(H, table)
-        atoms = [f for f in L.flats if f.dim == 1]
+        atoms = table.fids_by_dim()[1]
         assert len(atoms) == len(H)
         for f in atoms:
-            assert len(f.members) == 1
+            assert len(table.members(f)) == 1
 
 
 def test_mobius_defining_identity(sign_tables):
     for n in (1, 2, 3):
         H, table = sign_tables[n]
         L = build_lattice(H, table)
-        for t in L.flats:
-            total = sum(L.mobius[s] for s in L.flats if L.leq(s, t))
-            assert total == (1 if t is L.bottom else 0)
+        fids = range(len(table.rows))
+        for t in fids:
+            total = sum(L.mobius[s] for s in fids if L.leq(s, t))
+            assert total == (1 if t == table.zero_fid else 0)
 
 
 def test_leq_is_member_containment():
-    L = build_lattice(generate_sign_vectors(2))
-    bottom, top = L.bottom, L.top
-    for f in L.flats:
+    H = generate_sign_vectors(2)
+    table = FlatTable(H)
+    L = build_lattice(H, table)
+    by_dim = table.fids_by_dim()
+    bottom, top = table.zero_fid, by_dim[3][0]
+    for f in range(len(table.rows)):
         assert L.leq(bottom, f)
         assert L.leq(f, top)
         assert L.leq(f, f)
-    lines = [f for f in L.flats if f.dim == 1]
-    planes = [f for f in L.flats if f.dim == 2]
+    lines, planes = by_dim[1], by_dim[2]
     for p in planes:
         below = [l for l in lines if L.leq(l, p)]
-        assert len(below) == len(p.members)
+        assert len(below) == len(table.members(p))
 
 
 def test_chamber_counts_small(sign_tables):
@@ -166,11 +171,13 @@ def test_flat_members_are_exactly_contained_vectors(sign_tables):
         H = random_spanning_set(4, 12, seed)
         cases.append((H, FlatTable(H)))
     for H, table in cases:
-        L = build_lattice(H, table)
-        for f in L.flats:
-            inside = tuple(i for i, v in enumerate(H) if v in f.subspace)
-            assert f.members == inside
-            assert span([H[i] for i in f.members], H.ambient_dim) == f.subspace
+        table.close()
+        for f in range(len(table.rows)):
+            sub = SubspaceBasis(H.ambient_dim, table.rows[f])
+            members = table.members(f)
+            inside = tuple(i for i, v in enumerate(H) if v in sub)
+            assert members == inside
+            assert span([H[i] for i in members], H.ambient_dim) == sub
 
 
 def test_e5_lattice_sizes():

@@ -4,6 +4,7 @@ import json
 import pytest
 
 import flagbound.arrangement
+import flagbound.cli
 import flagbound.homology
 import flagbound.threshold
 from flagbound.arrangement import (
@@ -101,6 +102,39 @@ def test_lambda_order_trials(capsys):
     assert payload["order_independent"] is True
 
 
+def test_lambda_negative_order_trials_exit_code(capsys):
+    code, out, err = run(capsys, ["lambda", "--n", "2", "--order-trials", "-3"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: --order-trials must be >= 0, got -3\n"
+
+
+def test_lambda_order_walk_guard_exit_code(capsys, monkeypatch):
+    # E_2 has 22 cover edges, so each walk counts 22 + 40 edges: 15 walks
+    # (14 trials and the identity order) fit under 1,000, 31 do not.
+    monkeypatch.setattr(flagbound.cli, "MAX_ORDER_WALK_EDGES", 1000)
+    code, _, _ = run(capsys, ["lambda", "--n", "2", "--order-trials", "14"])
+    assert code == 0
+    code, out, err = run(capsys, ["lambda", "--n", "2", "--order-trials", "30"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: guard 'lambda.order_walk_edges'")
+    assert "Traceback" not in err
+
+
+def test_homology_field_guard_exit_code(capsys):
+    # 2^31 - 1 is the largest prime under the bound; 2^31 + 11 is the next
+    # prime and 2^61 - 1 would take minutes of trial division.
+    code, out, _ = run(capsys, ["homology", "--n", "2", "--field", str(2**31 - 1)])
+    assert code == 0
+    assert "rank: 3" in out
+    for p in (2**31 + 11, 2**61 - 1):
+        code, out, err = run(capsys, ["homology", "--n", "2", "--field", str(p)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: guard 'homology.field'")
+
+
 def test_homology_rational_field(capsys):
     code, out, _ = run(
         capsys, ["homology", "--n", "2", "--field", "Q", "--format", "json"])
@@ -187,6 +221,20 @@ def test_verify_builds_one_lattice(capsys, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(flagbound.arrangement, "IntersectionLattice", counting)
+    code, _, _ = run(capsys, ["verify", "--n", "3", "--level", "full"])
+    assert code == 0
+    assert len(built) == 1
+
+
+def test_verify_builds_one_flat_table(capsys, monkeypatch):
+    built = []
+    original = flagbound.arrangement.FlatTable.__init__
+
+    def counting(self, vs):
+        built.append(vs)
+        original(self, vs)
+
+    monkeypatch.setattr(flagbound.arrangement.FlatTable, "__init__", counting)
     code, _, _ = run(capsys, ["verify", "--n", "3", "--level", "full"])
     assert code == 0
     assert len(built) == 1

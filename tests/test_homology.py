@@ -1,7 +1,7 @@
 import pytest
 
 import flagbound.homology
-from flagbound.arrangement import build_lattice, generate_sign_vectors
+from flagbound.arrangement import FlatTable, build_lattice, generate_sign_vectors
 from flagbound.errors import GuardError
 from flagbound.flags import minimal_tuple_count
 from flagbound.homology import (
@@ -96,37 +96,34 @@ def test_field_validation():
         homology_rank(H, -1)
 
 
+def _assert_mobius_via_homology(H, table):
+    L = build_lattice(H, table)
+    for fid, mu in enumerate(L.mobius):
+        if table.dims[fid] < 1:
+            continue
+        assert mobius_via_homology(table, fid) == abs(mu)
+
+
 def test_mobius_via_homology_matches_lattice(sign_tables):
     for n in (1, 2):
-        H, table = sign_tables[n]
-        L = build_lattice(H, table)
-        for flat in L.flats:
-            if flat.dim < 1:
-                continue
-            assert mobius_via_homology(H, flat) == abs(L.mobius[flat])
+        _assert_mobius_via_homology(*sign_tables[n])
 
 
 def test_mobius_via_homology_random_set():
-    H = random_spanning_set(3, 6, 43)
-    L = build_lattice(H)
-    for flat in L.flats:
-        if flat.dim < 1:
-            continue
-        assert mobius_via_homology(H, flat) == abs(L.mobius[flat])
+    for H in (random_spanning_set(3, 6, 43), random_spanning_set(4, 10, 7)):
+        _assert_mobius_via_homology(H, FlatTable(H))
 
 
 def test_mobius_atom_is_one():
-    H = generate_sign_vectors(2)
-    L = build_lattice(H)
-    atom = next(f for f in L.flats if f.dim == 1)
-    assert mobius_via_homology(H, atom) == 1
+    table = FlatTable(generate_sign_vectors(2))
+    atom = table.covers(table.zero_fid)[0]
+    assert mobius_via_homology(table, atom) == 1
 
 
 def test_mobius_rejects_bottom():
-    H = generate_sign_vectors(2)
-    L = build_lattice(H)
+    table = FlatTable(generate_sign_vectors(2))
     with pytest.raises(ValueError):
-        mobius_via_homology(H, L.bottom)
+        mobius_via_homology(table, table.zero_fid)
 
 
 def test_simplex_store_guard(monkeypatch):
