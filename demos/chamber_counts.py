@@ -8,13 +8,13 @@ functions, so counting them two independent ways (and brute-forcing the
 functions themselves) gives a three-way consistency check.
 """
 
-from flagbound import (
+from flagbound.arrangement import (
     chamber_count,
     chamber_count_dr,
-    count_threshold_functions,
     generate_sign_vectors,
     schlafli_bound,
 )
+from flagbound.threshold import count_threshold_functions
 
 for n in range(1, 5):
     H = generate_sign_vectors(n)

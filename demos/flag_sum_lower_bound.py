@@ -11,13 +11,12 @@ sum is a lower bound on the chamber count.
 
 from fractions import Fraction
 
-from flagbound import (
+from flagbound.arrangement import chamber_count, generate_sign_vectors
+from flagbound.flags import (
     WeightVector,
-    chamber_count,
     enumerate_tuples,
     flag_lower_bound,
     flag_weighted_sum,
-    generate_sign_vectors,
 )
 
 H = generate_sign_vectors(2)

@@ -9,14 +9,9 @@ construction restricted to a flat recovers the absolute value of the
 lattice Mobius function flat by flat.
 """
 
-from flagbound import (
-    FlatTable,
-    build_lattice,
-    generate_sign_vectors,
-    homology_rank,
-    minimal_tuple_count,
-    mobius_via_homology,
-)
+from flagbound.arrangement import FlatTable, build_lattice, generate_sign_vectors
+from flagbound.flags import minimal_tuple_count
+from flagbound.homology import homology_rank, mobius_via_homology
 
 for n in (1, 2, 3):
     H = generate_sign_vectors(n)

@@ -9,10 +9,10 @@ stays outside the tuple's span.  The number of such tuples is the rank
 of a homology group, so shuffling the order never changes it.
 """
 
-from flagbound import (
+from flagbound.arrangement import generate_sign_vectors
+from flagbound.flags import (
     OrderPermutation,
     WeightVector,
-    generate_sign_vectors,
     minimal_tuple_count,
     minimal_tuples,
     monte_carlo_expectation,

@@ -9,7 +9,12 @@ The census gives an independent check on the chamber counts, and the
 bounds report assembles everything into one row.
 """
 
-from flagbound import BooleanFunction, bounds_report, count_threshold_functions, is_threshold
+from flagbound.threshold import (
+    BooleanFunction,
+    bounds_report,
+    count_threshold_functions,
+    is_threshold,
+)
 
 AND = BooleanFunction(2, (0, 0, 0, 1))
 XOR = BooleanFunction(2, (0, 1, 1, 0))

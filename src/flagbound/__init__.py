@@ -6,98 +6,29 @@ Four independent routes to that number and its bounds live here: lattice
 chamber counting, a deletion-restriction recursion, a weighted sum over
 combinatorial flags whose doubled value is a lower bound, and a direct
 census by exact separability tests.
+
+The package exports the quick-start names; everything else is imported
+from its submodule (arrangement, exactlin, flags, homology, threshold).
 """
 
-from .arrangement import (
-    FlatTable,
-    IntersectionLattice,
-    VectorSet,
-    build_lattice,
-    chamber_count,
-    chamber_count_dr,
-    ensure_table,
-    generate_sign_vectors,
-    read_vector_set,
-    schlafli_bound,
-    write_vector_set,
-)
+from .arrangement import VectorSet, chamber_count, chamber_count_dr, generate_sign_vectors
 from .errors import GuardError
-from .exactlin import (
-    SubspaceBasis,
-    contains,
-    rank,
-    span,
-)
-from .flags import (
-    FullFlag,
-    IndexTuple,
-    OrderPermutation,
-    WeightVector,
-    count_admissible_orders,
-    enumerate_tuples,
-    flag_lower_bound,
-    flag_weighted_sum,
-    flag_weighted_sum_by_enumeration,
-    minimal_tuple_count,
-    minimal_tuples,
-    monte_carlo_expectation,
-    read_weight_vector,
-    write_weight_vector,
-)
-from .homology import (
-    ComplexSlice,
-    build_complex_slice,
-    homology_rank,
-    mobius_via_homology,
-)
-from .threshold import (
-    BooleanFunction,
-    BoundsReport,
-    bounds_report,
-    count_threshold_functions,
-    is_threshold,
-)
+from .flags import WeightVector, flag_lower_bound, minimal_tuple_count
+from .homology import homology_rank
+from .threshold import bounds_report, count_threshold_functions
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BooleanFunction",
-    "BoundsReport",
-    "ComplexSlice",
-    "FlatTable",
-    "FullFlag",
     "GuardError",
-    "IndexTuple",
-    "IntersectionLattice",
-    "OrderPermutation",
-    "SubspaceBasis",
     "VectorSet",
     "WeightVector",
     "bounds_report",
-    "build_complex_slice",
-    "build_lattice",
     "chamber_count",
     "chamber_count_dr",
-    "contains",
-    "count_admissible_orders",
     "count_threshold_functions",
-    "ensure_table",
-    "enumerate_tuples",
     "flag_lower_bound",
-    "flag_weighted_sum",
-    "flag_weighted_sum_by_enumeration",
     "generate_sign_vectors",
     "homology_rank",
-    "is_threshold",
     "minimal_tuple_count",
-    "minimal_tuples",
-    "mobius_via_homology",
-    "monte_carlo_expectation",
-    "rank",
-    "read_vector_set",
-    "read_weight_vector",
-    "schlafli_bound",
-    "span",
-    "write_vector_set",
-    "write_weight_vector",
 ]

@@ -150,9 +150,6 @@ class FlatTable:
         self._classes: dict[int, dict[Vector, int]] = {}
         self._steps: dict[int, tuple[int, ...]] = {}
         self._members_memo: dict[int, tuple[int, ...]] = {}
-        self._flag_groups: dict[int, dict[int, int]] | None = None
-        # (total, per_index) of the weighted flag sum, set by flags.py.
-        self._flag_sums: tuple | None = None
         # The lattice with its Mobius values, set by build_lattice.
         self._lattice: IntersectionLattice | None = None
         # Fraction-free steps taken so far, bounded by MAX_CONTRACTION_STEPS.
@@ -253,37 +250,6 @@ class FlatTable:
             out = tuple(i for i in range(len(self.vs.vectors)) if (mask >> i) & 1)
             self._members_memo[fid] = out
         return out
-
-    def flag_group_counts(self) -> dict[int, dict[int, int]]:
-        """Ordered independent tuples grouped by (top flat, flag product).
-
-        Returns {top_fid: {product: number_of_tuples}} over all ordered
-        linearly independent (d-1)-tuples, computed by a chain walk over the
-        Hasse diagram: a tuple corresponds to the chain of its suffix spans,
-        a chain F_1 < .. < F_{d-1} is shared by exactly
-        prod_l (count(F_l) - count(F_{l-1})) tuples, and every tuple on one
-        chain has the same flag product prod_l count(F_l), where count is
-        the number of vectors lying in a flat.
-        """
-        if self._flag_groups is not None:
-            return self._flag_groups
-        self.close()
-        n = self.vs.ambient_dim - 1
-        layer: dict[int, dict[int, int]] = {self.zero_fid: {1: 1}}
-        for k in range(n):
-            nxt: dict[int, dict[int, int]] = {}
-            for fid, prods in layer.items():
-                c_lo = self.counts[fid]
-                for cid in self.covers(fid):
-                    c_hi = self.counts[cid]
-                    mult = c_hi - c_lo
-                    acc = nxt.setdefault(cid, {})
-                    for prod, cnt in prods.items():
-                        key = prod * c_hi
-                        acc[key] = acc.get(key, 0) + cnt * mult
-            layer = nxt
-        self._flag_groups = layer
-        return layer
 
 
 class IntersectionLattice:

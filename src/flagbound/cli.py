@@ -148,6 +148,8 @@ def _run_count_threshold(args: argparse.Namespace) -> tuple[bool, dict]:
 
 def _run_report(args: argparse.Namespace) -> tuple[bool, dict]:
     vectors = _weight_vectors(args.weights, 1 << args.n)
+    if len(vectors) != 1:
+        raise ValueError(f"report takes one weight vector, {args.weights!r} gives {len(vectors)}")
     rep = threshold.bounds_report(args.n, vectors[0])
     payload: dict = {"n": rep.n}
     payload["lower_bound"] = str(rep.lower_bound)

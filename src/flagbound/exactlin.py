@@ -12,7 +12,7 @@ All values are immutable; operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -106,10 +106,6 @@ class SubspaceBasis:
 
     ambient_dim: int
     rows: tuple[Vector, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.ambient_dim, self.rows)))
 
     @property
     def dim(self) -> int:
@@ -123,9 +119,6 @@ class SubspaceBasis:
             p = row[_pivot_col(row)]
             out.append(tuple(Fraction(x, p) for x in row))
         return tuple(out)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __contains__(self, v: Sequence[int]) -> bool:
         return contains(self, v)

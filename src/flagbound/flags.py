@@ -216,13 +216,36 @@ def enumerate_tuples(
 
 def _flag_sum_coefficients(table: FlatTable) -> tuple[Fraction, list[Fraction]]:
     """(total, per_index): the weighted flag sum equals
-    total - sum_i p_i * per_index[i] for any weight vector p."""
-    if table._flag_sums is not None:
-        return table._flag_sums
-    T = len(table.vs)
+    total - sum_i p_i * per_index[i] for any weight vector p.
+
+    One chain walk over the cover diagram groups the ordered independent
+    (d-1)-tuples by {top flat: {flag product: tuple count}}: a tuple
+    corresponds to the chain of its suffix spans, a chain
+    F_1 < .. < F_{d-1} is shared by exactly
+    prod_l (count(F_l) - count(F_{l-1})) tuples, and every tuple on one
+    chain has the same flag product prod_l count(F_l), where count is the
+    number of vectors lying in a flat.  The pair does not depend on the
+    weights, so it is kept on the table as `_flag_sums`.
+    """
+    cached = getattr(table, "_flag_sums", None)
+    if cached is not None:
+        return cached
+    layer: dict[int, dict[int, int]] = {table.zero_fid: {1: 1}}
+    for _ in range(table.vs.ambient_dim - 1):
+        nxt: dict[int, dict[int, int]] = {}
+        for fid, prods in layer.items():
+            c_lo = table.counts[fid]
+            for cid in table.covers(fid):
+                c_hi = table.counts[cid]
+                mult = c_hi - c_lo
+                acc = nxt.setdefault(cid, {})
+                for prod, cnt in prods.items():
+                    key = prod * c_hi
+                    acc[key] = acc.get(key, 0) + cnt * mult
+        layer = nxt
     total = Fraction(0)
-    per_index = [Fraction(0)] * T
-    for top_fid, by_product in table.flag_group_counts().items():
+    per_index = [Fraction(0)] * len(table.vs)
+    for top_fid, by_product in layer.items():
         share = sum(Fraction(cnt, prod) for prod, cnt in by_product.items())
         total += share
         for i in table.members(top_fid):
@@ -236,7 +259,7 @@ def flag_weighted_sum(H: VectorSet, p, table: FlatTable | None = None) -> Fracti
     (1 - weight of the top span's members) / flag product.
 
     Grouped evaluation: tuples sharing (top flat, flag product) are counted
-    by the chain walk of the flat table, so the rational arithmetic touches
+    by one chain walk over the flat table, so the rational arithmetic touches
     each group once instead of each tuple.
     """
     p = _as_weights(p, len(H))
@@ -280,11 +303,13 @@ def minimal_tuple_count(
 
     Each qualifying tuple is reconstructed from its chain of suffix spans:
     per chain at most one tuple qualifies (the minimal member at each step
-    is unique), so the count walks the flat diagram once, taking a cover
-    step only when the cover's minimal member is the newly added vector.
+    is unique), so the count is one forward pass over the flats in
+    increasing dimension, each flat's path count pushed to the covers whose
+    minimal member is the newly added vector.  Flat ids are not in
+    dimension order once a lazy walk has built part of the table, hence
+    the pass goes by fids_by_dim.
     """
     table = ensure_table(H, table)
-    table.close()
     T = len(H)
     if order is None:
         order = OrderPermutation.identity(T)
@@ -292,30 +317,25 @@ def minimal_tuple_count(
         raise ValueError(f"order on {len(order)} indices, set has {T}")
     pos = order.position
     n = H.ambient_dim - 1
-    first = order.first
-    nflats = len(table.rows)
-    minimal = [0] * nflats
-    for fid in range(nflats):
+    by_dim = table.fids_by_dim()
+    masks = table.masks
+    minimal = [0] * len(masks)
+    for fid in range(len(masks)):
         mem = table.members(fid)
         if mem:
             minimal[fid] = min(mem, key=pos.__getitem__)
-    memo: dict[int, int] = {}
-
-    def walk(fid: int) -> int:
-        if table.dims[fid] == n:
-            return 0 if (table.masks[fid] >> first) & 1 else 1
-        got = memo.get(fid)
-        if got is not None:
-            return got
-        fmask = table.masks[fid]
-        total = 0
-        for cid in table.covers(fid):
-            if not (fmask >> minimal[cid]) & 1:
-                total += walk(cid)
-        memo[fid] = total
-        return total
-
-    return walk(table.zero_fid)
+    paths = [0] * len(masks)
+    paths[table.zero_fid] = 1
+    for fids in by_dim[:n]:
+        for fid in fids:
+            count = paths[fid]
+            if count:
+                fmask = masks[fid]
+                for cid in table.covers(fid):
+                    if not (fmask >> minimal[cid]) & 1:
+                        paths[cid] += count
+    first = order.first
+    return sum(paths[fid] for fid in by_dim[n] if not (masks[fid] >> first) & 1)
 
 
 def _suffix_flats(table: FlatTable, indices: Sequence[int]) -> list[int]:

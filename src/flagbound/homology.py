@@ -29,6 +29,14 @@ __all__ = [
 # per nonzero (the E_5 top slice: 3,106,880 nonzeros, 240 MB peak under
 # tracemalloc, Python 3.11), so a slice at the limit stays near 1 GB.
 MAX_BOUNDARY_NONZEROS = 10**7
+# Bound on the subsets the walk tests (a visited subset plus one candidate,
+# proper span or not), the walk's own work, which the nonzero guard misses
+# when a high degree records nothing.  A test costs about 0.45 µs
+# (2^23 - 1 tests in 3.8 s for 22 vectors (1, k, 0) and (0, 0, 1) at degree
+# 40, 2 CPUs, Python 3.11); the same set with 30 vectors in the plane stops
+# on this limit after 52 s.  The E_5 top slice tests 1,149,016 subsets and
+# `homology --n 5 --degree 40` 7,753,135.
+MAX_WALKED_SUBSETS = 10**8
 # Bound on a prime field's order: _is_prime tests by trial division up to
 # sqrt(p): 4 ms at 2^31 - 1 (2 CPUs, Python 3.11), so about 2 minutes at
 # 2^61 - 1.
@@ -83,7 +91,6 @@ def _subsets_with_proper_span(
     candidates: Sequence[int],
     dim: int,
     sizes: Sequence[int],
-    reduced: bool,
 ) -> dict[int, list[tuple[int, ...]]]:
     """All subsets of the candidate vectors, of the given sizes, whose span
     has dimension below dim, each as a sorted index tuple, in lexicographic
@@ -95,6 +102,7 @@ def _subsets_with_proper_span(
     if max_size < 0:
         return out
     nonzeros = 0
+    tested = 0
     current: list[int] = []
 
     def record(k: int, item: tuple[int, ...]) -> None:
@@ -107,11 +115,15 @@ def _subsets_with_proper_span(
             )
 
     def walk(fid: int, start: int) -> None:
+        nonlocal tested
         k = len(current)
-        if k in wanted and (k > 0 or reduced):
+        if k in wanted:
             record(k, tuple(current))
         if k == max_size:
             return
+        tested += count - start
+        if tested > MAX_WALKED_SUBSETS:
+            raise GuardError("homology.walked_subsets", f"<= {MAX_WALKED_SUBSETS}", tested)
         for j in range(start, count):
             i = candidates[j]
             cid = table.extend(fid, i)
@@ -144,10 +156,8 @@ def _boundary_columns(
     return tuple(columns)
 
 
-def _slice(
-    table: FlatTable, candidates: Sequence[int], dim: int, m: int, reduced: bool
-) -> ComplexSlice:
-    layers = _subsets_with_proper_span(table, candidates, dim, (m, m + 1, m + 2), reduced)
+def _slice(table: FlatTable, candidates: Sequence[int], dim: int, m: int) -> ComplexSlice:
+    layers = _subsets_with_proper_span(table, candidates, dim, (m, m + 1, m + 2))
     faces = tuple(layers[m])
     simplices = tuple(layers[m + 1])
     cofaces = tuple(layers[m + 2])
@@ -161,15 +171,11 @@ def _slice(
     )
 
 
-def build_complex_slice(
-    H: VectorSet,
-    m: int,
-    table: FlatTable | None = None,
-    reduced: bool = True,
-) -> ComplexSlice:
-    """Materialize the degree-m slice of the proper-span complex of H."""
+def build_complex_slice(H: VectorSet, m: int, table: FlatTable | None = None) -> ComplexSlice:
+    """Materialize the degree-m slice of the reduced proper-span complex
+    of H, the empty simplex included."""
     table = ensure_table(H, table)
-    return _slice(table, range(len(H)), H.ambient_dim, m, reduced)
+    return _slice(table, range(len(H)), H.ambient_dim, m)
 
 
 def _rank_mod_p(columns: Sequence[dict[int, int]], p: int) -> int:
@@ -239,14 +245,13 @@ def homology_rank(
     m: int,
     fld: int | str = 2,
     table: FlatTable | None = None,
-    reduced: bool = True,
 ) -> int:
     """Rank of the degree-m reduced homology of the proper-span complex,
     as nullity(boundary_out) - rank(boundary_in) over the given field."""
     if m < 0:
         raise ValueError(f"degree must be >= 0, got {m}")
     fld = _check_field(fld)
-    return _slice_rank(build_complex_slice(H, m, table, reduced), fld)
+    return _slice_rank(build_complex_slice(H, m, table), fld)
 
 
 def mobius_via_homology(table: FlatTable, fid: int, fld: int | str = 2) -> int:
@@ -263,4 +268,4 @@ def mobius_via_homology(table: FlatTable, fid: int, fld: int | str = 2) -> int:
     if dim < 1:
         raise ValueError("flat must have dimension >= 1")
     fld = _check_field(fld)
-    return _slice_rank(_slice(table, table.members(fid), dim, dim - 2, True), fld)
+    return _slice_rank(_slice(table, table.members(fid), dim, dim - 2), fld)

