@@ -220,7 +220,7 @@ def _verify_one(n: int, level: str) -> list[dict]:
         return ok, f"mean {mean}, stderr {err}"
 
     def bound_chain():
-        rep = threshold.bounds_report(n, "uniform", table)
+        rep = threshold.bounds_report(n, table=table)
         parts = [str(rep.lower_bound), str(rep.chambers), str(rep.schlafli)]
         return True, " <= ".join(parts)
 

@@ -338,20 +338,6 @@ def minimal_tuple_count(
     return sum(paths[fid] for fid in by_dim[n] if not (masks[fid] >> first) & 1)
 
 
-def _suffix_flats(table: FlatTable, indices: Sequence[int]) -> list[int]:
-    """Ids of the flats of the nested suffix spans, innermost first;
-    ValueError if the tuple is linearly dependent."""
-    fid = table.zero_fid
-    out = []
-    for i in reversed(indices):
-        nid = table.extend(fid, i)
-        if table.dims[nid] == table.dims[fid]:
-            raise ValueError(f"tuple {tuple(indices)} is linearly dependent")
-        fid = nid
-        out.append(fid)
-    return out
-
-
 def _qualifies(
     table: FlatTable, indices: tuple[int, ...], pos: Sequence[int], first: int
 ) -> bool:
@@ -413,25 +399,20 @@ def count_admissible_orders(
         raise ValueError(f"expected a {n}-tuple, got {len(W)} indices")
     if not 0 <= i < T:
         raise ValueError(f"index {i} out of range")
-    flats = _suffix_flats(table, W.indices)
-    if (table.masks[flats[-1]] >> i) & 1:
+    fid = table.zero_fid
+    for j in W.indices:
+        fid = table.extend(fid, j)
+    if table.dims[fid] != n:
+        raise ValueError(f"tuple {W.indices} is linearly dependent")
+    if (table.masks[fid] >> i) & 1:
         raise ValueError(f"vector {i} lies in the tuple's span")
-    member_sets = [table.members(f) for f in flats]
     rest = [j for j in range(T) if j != i]
-    indices = W.indices
     count = 0
     pos = [0] * T
     for perm in itertools.permutations(rest):
         for k, j in enumerate(perm):
             pos[j] = k + 1
-        pos[i] = 0
-        if any(pos[a] >= pos[b] for a, b in zip(indices, indices[1:])):
-            continue
-        if all(
-            min(mem, key=pos.__getitem__) == indices[n - l]
-            for l, mem in enumerate(member_sets, start=1)
-        ):
-            count += 1
+        count += _qualifies(table, W.indices, pos, i)
     return count
 
 

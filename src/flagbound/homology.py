@@ -1,9 +1,10 @@
 """Reduced simplicial homology of the proper-span complex of a vector set.
 
 A subset of the vectors is a simplex exactly when its span is a proper
-subspace of the ambient space.  Ranks of the reduced homology of this
-complex reproduce lattice data: in degree (ambient - 2) the rank equals
-the magnitude of the top Mobius value, and restricting to any flat gives
+subspace, that is, when it lies in a hyperplane flat, so the complex is
+generated by those flats' member sets.  Ranks of its reduced homology
+reproduce lattice data: in degree (ambient - 2) the rank equals the
+magnitude of the top Mobius value, and restricting to any flat gives
 that flat's Mobius magnitude.  The same ranks match minimal_tuple_count,
 which is what ties the weighted flag sum to chamber counts.
 """
@@ -11,7 +12,8 @@ which is what ties the weighted flag sum to chamber counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import combinations
+from math import comb, gcd
 from typing import Sequence
 
 from .arrangement import FlatTable, VectorSet, ensure_table
@@ -24,19 +26,12 @@ __all__ = [
     "mobius_via_homology",
 ]
 
-# Bound on the boundary nonzeros a slice may hold, counted as k per stored
-# k-subset while the layers are enumerated.  A slice costs about 81 bytes
-# per nonzero (the E_5 top slice: 3,106,880 nonzeros, 240 MB peak under
-# tracemalloc, Python 3.11), so a slice at the limit stays near 1 GB.
+# Bound on the boundary nonzeros a slice may hold, counted as k per
+# k-subset of each pool before any layer is generated (a subset lying in
+# several lower covers counts once per cover).  A slice costs about 81
+# bytes per nonzero (the E_5 top slice: 3,106,880 nonzeros, 240 MB peak
+# under tracemalloc, Python 3.11), so a slice at the limit stays near 1 GB.
 MAX_BOUNDARY_NONZEROS = 10**7
-# Bound on the subsets the walk tests (a visited subset plus one candidate,
-# proper span or not), the walk's own work, which the nonzero guard misses
-# when a high degree records nothing.  A test costs about 0.45 µs
-# (2^23 - 1 tests in 3.8 s for 22 vectors (1, k, 0) and (0, 0, 1) at degree
-# 40, 2 CPUs, Python 3.11); the same set with 30 vectors in the plane stops
-# on this limit after 52 s.  The E_5 top slice tests 1,149,016 subsets and
-# `homology --n 5 --degree 40` 7,753,135.
-MAX_WALKED_SUBSETS = 10**8
 # Bound on a prime field's order: _is_prime tests by trial division up to
 # sqrt(p): 4 ms at 2^31 - 1 (2 CPUs, Python 3.11), so about 2 minutes at
 # 2^61 - 1.
@@ -86,55 +81,48 @@ class ComplexSlice:
     boundary_in: tuple[dict[int, int], ...]
 
 
-def _subsets_with_proper_span(
-    table: FlatTable,
-    candidates: Sequence[int],
-    dim: int,
-    sizes: Sequence[int],
-) -> dict[int, list[tuple[int, ...]]]:
-    """All subsets of the candidate vectors, of the given sizes, whose span
-    has dimension below dim, each as a sorted index tuple, in lexicographic
-    order.  The candidates must span a subspace of dimension dim."""
-    count = len(candidates)
-    wanted = {k for k in sizes if k >= 0}
-    max_size = max(wanted, default=-1)
-    out: dict[int, list[tuple[int, ...]]] = {k: [] for k in sizes}
-    if max_size < 0:
-        return out
-    nonzeros = 0
-    tested = 0
-    current: list[int] = []
+def _proper_span_layers(
+    table: FlatTable, mask: int, dim: int, sizes: Sequence[int]
+) -> list[list[tuple[int, ...]]]:
+    """For each k in sizes (ascending), the k-subsets of the members of the
+    dim-dimensional flat with member mask `mask` whose span lies strictly
+    below that flat, as sorted index tuples in lexicographic order.
 
-    def record(k: int, item: tuple[int, ...]) -> None:
-        nonlocal nonzeros
-        out[k].append(item)
-        nonzeros += k
+    A span is proper exactly when the subset lies in a lower cover of the
+    flat (the crosscut complex of Rota and Folkman).  So below size dim
+    every k-subset of the members qualifies, and from dim up the layer is
+    the union of the k-subsets of the lower covers' members.  The boundary
+    nonzeros, k per k-subset of each pool, are counted before anything is
+    generated, and the sizes below dim before the lower covers close the
+    table.
+    """
+    members = tuple(i for i in range(len(table.vs)) if (mask >> i) & 1)
+    lower: list[tuple[int, ...]] | None = None
+    pools_by_size = []
+    nonzeros = 0
+    for k in sizes:
+        if k < 0:
+            pools = []
+        elif k < dim:
+            pools = [members]
+        else:
+            if lower is None:
+                lower = [
+                    table.members(g) for g in table.fids_by_dim()[dim - 1]
+                    if table.masks[g] & ~mask == 0
+                ]
+            pools = lower
+        nonzeros += sum(k * comb(len(pool), k) for pool in pools)
         if nonzeros > MAX_BOUNDARY_NONZEROS:
             raise GuardError(
                 "homology.boundary_nonzeros", f"<= {MAX_BOUNDARY_NONZEROS}", nonzeros
             )
-
-    def walk(fid: int, start: int) -> None:
-        nonlocal tested
-        k = len(current)
-        if k in wanted:
-            record(k, tuple(current))
-        if k == max_size:
-            return
-        tested += count - start
-        if tested > MAX_WALKED_SUBSETS:
-            raise GuardError("homology.walked_subsets", f"<= {MAX_WALKED_SUBSETS}", tested)
-        for j in range(start, count):
-            i = candidates[j]
-            cid = table.extend(fid, i)
-            if table.dims[cid] == dim:
-                continue
-            current.append(i)
-            walk(cid, j + 1)
-            current.pop()
-
-    walk(table.zero_fid, 0)
-    return out
+        pools_by_size.append(pools)
+    return [
+        list(combinations(pools[0], k)) if len(pools) == 1
+        else sorted({s for pool in pools for s in combinations(pool, k)})
+        for k, pools in zip(sizes, pools_by_size)
+    ]
 
 
 def _boundary_columns(
@@ -156,11 +144,9 @@ def _boundary_columns(
     return tuple(columns)
 
 
-def _slice(table: FlatTable, candidates: Sequence[int], dim: int, m: int) -> ComplexSlice:
-    layers = _subsets_with_proper_span(table, candidates, dim, (m, m + 1, m + 2))
-    faces = tuple(layers[m])
-    simplices = tuple(layers[m + 1])
-    cofaces = tuple(layers[m + 2])
+def _slice(table: FlatTable, mask: int, dim: int, m: int) -> ComplexSlice:
+    layers = _proper_span_layers(table, mask, dim, (m, m + 1, m + 2))
+    faces, simplices, cofaces = map(tuple, layers)
     return ComplexSlice(
         degree=m,
         faces=faces,
@@ -175,7 +161,7 @@ def build_complex_slice(H: VectorSet, m: int, table: FlatTable | None = None) ->
     """Materialize the degree-m slice of the reduced proper-span complex
     of H, the empty simplex included."""
     table = ensure_table(H, table)
-    return _slice(table, range(len(H)), H.ambient_dim, m)
+    return _slice(table, (1 << len(H)) - 1, H.ambient_dim, m)
 
 
 def _rank_mod_p(columns: Sequence[dict[int, int]], p: int) -> int:
@@ -259,7 +245,7 @@ def mobius_via_homology(table: FlatTable, fid: int, fld: int | str = 2) -> int:
     the rank of the reduced homology, in degree (dim - 2), of the complex of
     its member subsets with a proper span.  The flats below fid are the
     lattice of the arrangement localized at fid, so this is the top-degree
-    complex of that localization, walked inside the same table.
+    complex of that localization, built from the same table.
 
     For a one-dimensional flat the complex is empty and the degree is -1;
     the empty simplex alone survives, giving rank 1.
@@ -268,4 +254,4 @@ def mobius_via_homology(table: FlatTable, fid: int, fld: int | str = 2) -> int:
     if dim < 1:
         raise ValueError("flat must have dimension >= 1")
     fld = _check_field(fld)
-    return _slice_rank(_slice(table, table.members(fid), dim, dim - 2), fld)
+    return _slice_rank(_slice(table, table.masks[fid], dim, dim - 2), fld)

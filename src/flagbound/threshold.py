@@ -177,18 +177,17 @@ class BoundsReport:
 
 def bounds_report(
     n: int,
-    p: WeightVector | str = "uniform",
+    p: WeightVector | None = None,
     table: FlatTable | None = None,
 ) -> BoundsReport:
     """Assemble the bound chain 2 * flag sum = 2 * minimal tuples
-    <= chambers <= cell bound, raising if any link fails."""
+    <= chambers <= cell bound, raising if any link fails.  p None means
+    uniform weights."""
     if not 1 <= n <= REPORT_MAX_N:
         raise GuardError("bounds_report.n", f"1 <= n <= {REPORT_MAX_N}", n)
     H = generate_sign_vectors(n)
     table = ensure_table(H, table)
-    if isinstance(p, str):
-        if p != "uniform":
-            raise ValueError(f"unknown weight spec {p!r}")
+    if p is None:
         p = WeightVector.uniform(len(H))
     lower = 2 * flag_weighted_sum(H, p, table)
     two_lambda = 2 * minimal_tuple_count(H, table=table)

@@ -175,9 +175,11 @@ def test_homology_guard_exit_code(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_homology_walk_guard_exit_code(capsys, monkeypatch, tmp_path):
-    # 12 vectors in a plane plus one off it: at degree 40 nothing is
-    # recorded, but the walk tests every subset of the plane.
+def test_homology_high_degree_guard_exit_code(capsys, monkeypatch, tmp_path):
+    # 12 vectors in a plane plus one off it: no proper-span subset has more
+    # than 12 vectors, so degree 40 counts no nonzeros even under a tight
+    # guard, while degree 5 needs 5·C(12,5) + 6·C(12,6) + 7·C(12,7) =
+    # 15,048 and stops before generating any subset.
     path = tmp_path / "plane12.txt"
     rows = tuple((1, k, 0) for k in range(12)) + ((0, 0, 1),)
     write_vector_set(str(path), VectorSet(rows, 3))
@@ -185,11 +187,14 @@ def test_homology_walk_guard_exit_code(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert "rank: 0" in out.splitlines()
-    monkeypatch.setattr(flagbound.homology, "MAX_WALKED_SUBSETS", 1000)
-    code, out, err = run(capsys, argv)
+    monkeypatch.setattr(flagbound.homology, "MAX_BOUNDARY_NONZEROS", 1000)
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert "rank: 0" in out.splitlines()
+    code, out, err = run(capsys, argv[:-1] + ["5"])
     assert code == 2
     assert out == ""
-    assert err.startswith("error: guard 'homology.walked_subsets'")
+    assert err.startswith("error: guard 'homology.boundary_nonzeros'")
     assert "Traceback" not in err
 
 

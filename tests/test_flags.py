@@ -22,7 +22,6 @@ from flagbound.flags import (
     read_weight_vector,
     write_weight_vector,
 )
-from flagbound.homology import homology_rank
 
 from conftest import random_spanning_set
 
@@ -168,14 +167,14 @@ def test_order_invariance(sign_tables):
             assert minimal_tuple_count(H, order, table) == base
 
 
-def test_minimal_count_after_lazy_homology_walk():
-    # The homology walk builds the table depth first, so its flat ids are
-    # out of dimension order before minimal_tuple_count closes it; from
-    # R^5 on, a pass in id order would miss paths.
+def test_minimal_count_after_lazy_tuple_walk():
+    # The tuple walk builds the table depth first, so its flat ids are out
+    # of dimension order before minimal_tuple_count closes it; a pass in id
+    # order would miss paths.
     cases = [generate_sign_vectors(3), generate_sign_vectors(4), random_spanning_set(5, 10, 5)]
     for H in cases:
         table = FlatTable(H)
-        homology_rank(H, H.ambient_dim - 2, 2, table)
+        list(enumerate_tuples(H, table))
         assert table.dims != sorted(table.dims)
         fresh = FlatTable(H)
         for order in [None] + [OrderPermutation.random(len(H), s) for s in range(3)]:

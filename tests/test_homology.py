@@ -129,3 +129,17 @@ def test_simplex_store_guard(monkeypatch):
     monkeypatch.setattr(flagbound.homology, "MAX_BOUNDARY_NONZEROS", 3)
     with pytest.raises(GuardError):
         build_complex_slice(generate_sign_vectors(2), 1)
+
+
+def test_slice_counts_before_closing_table():
+    # Below the top dimension every k-subset has a proper span, so a low
+    # degree needs no flat; a high one is counted (5·C(64,5) nonzeros for
+    # the faces alone) and refused before the lower covers are built.
+    H = generate_sign_vectors(6)
+    table = FlatTable(H)
+    sl = build_complex_slice(H, 1, table)
+    assert (len(sl.faces), len(sl.simplices), len(sl.cofaces)) == (64, 2016, 41664)
+    assert len(table.masks) == 1
+    with pytest.raises(GuardError):
+        build_complex_slice(H, 5, table)
+    assert len(table.masks) == 1
