@@ -33,11 +33,10 @@ SIGN_VECTORS_MAX_N = 20
 SCHLAFLI_MAX_N = 62
 # Guard on the flats of one table, checked as each flat is added.  Measured
 # by tracemalloc after close(), a flat costs about 630 B at T = 32 (E_5) and
-# 610 B at T = 64 (64 integer vectors in R^4), or 1.2 KB and 1.4 KB with
-# every extend step and member tuple filled in.  A flat whose covers are not
-# built yet also holds its images, 3.3 KB a flat over the first 100,000
-# flats of E_6.  `chambers --n 6` reaches this limit after about 58 s at
-# 1.04 GB peak RSS (2 CPUs).
+# 610 B at T = 64 (64 integer vectors in R^4), or 780 B at E_5 with every
+# member tuple filled in.  A flat whose covers are not built yet also holds
+# its images (MAX_PENDING_IMAGES).  `chambers --n 6` reaches this limit
+# after 50-60 s at 1.03 GB peak RSS (2 CPUs).
 MAX_FLATS = 600_000
 # Guard on the fraction-free contraction steps of one table: each new cover
 # costs one step per other class of its parent, so T vectors in general
@@ -47,6 +46,12 @@ MAX_FLATS = 600_000
 # has taken 15.1 million when it reaches MAX_FLATS, so `chambers --n 6`
 # still stops on the flat guard.
 MAX_CONTRACTION_STEPS = 2 * 10**7
+# Guard on the images held by the flats whose covers are not built yet,
+# checked as each flat is added.  An image with its dict entry takes 140 B
+# (E_6) to 160 B (E_7) by tracemalloc, about 0.75 GB at the limit.  E_6
+# peaks at 4.3 million images before MAX_FLATS; `chambers --n 7` stops here
+# after about 20 s at 850 MB peak RSS, `--n 9` after 13 s at 1.1 GB (2 CPUs).
+MAX_PENDING_IMAGES = 5 * 10**6
 
 
 @dataclass(frozen=True)
@@ -133,8 +138,11 @@ class FlatTable:
     are the spans of F and one class of its non-members, two non-members
     sharing a cover iff their images in R^d / F are parallel.  Each flat keeps
     one primitive integer image per class until its covers are built, so no
-    cover needs a membership or rank test.  The table is a cache: it never
-    affects results, only the cost of obtaining them.
+    cover needs a membership or rank test.  The covers of a flat are built
+    only after those of every flat with a smaller id, so flat ids ascend
+    with dimension and a table numbers its flats the same way whichever
+    walk built it.  The table is a cache: it never affects results, only
+    the cost of obtaining them.
     """
 
     def __init__(self, vs: VectorSet):
@@ -144,11 +152,12 @@ class FlatTable:
         self.masks: list[int] = []
         self.counts: list[int] = []
         self.dims: list[int] = []
-        self._covers: list[list[int] | None] = []
+        # Covers of flats 0..len(_covers) - 1, the prefix built so far.
+        self._covers: list[list[int]] = []
         # Image in R^d / F -> member bits, for each flat F whose covers are
-        # not built yet.
+        # not built yet; their total count is bounded by MAX_PENDING_IMAGES.
         self._classes: dict[int, dict[Vector, int]] = {}
-        self._steps: dict[int, tuple[int, ...]] = {}
+        self.pending_images = 0
         self._members_memo: dict[int, tuple[int, ...]] = {}
         # The lattice with its Mobius values, set by build_lattice.
         self._lattice: IntersectionLattice | None = None
@@ -162,12 +171,15 @@ class FlatTable:
         fid = len(self.masks)
         if fid >= MAX_FLATS:
             raise GuardError("arrangement.flats", f"<= {MAX_FLATS}", fid + 1)
+        pending = self.pending_images + len(classes)
+        if pending > MAX_PENDING_IMAGES:
+            raise GuardError("arrangement.pending_images", f"<= {MAX_PENDING_IMAGES}", pending)
+        self.pending_images = pending
         self._ids[mask] = fid
         self.rows.append(rows)
         self.masks.append(mask)
         self.counts.append(mask.bit_count())
         self.dims.append(len(rows))
-        self._covers.append(None)
         self._classes[fid] = classes
         return fid
 
@@ -200,41 +212,33 @@ class FlatTable:
 
     def covers(self, fid: int) -> list[int]:
         """Ids of the flats one dimension up reachable by adjoining a vector."""
-        out = self._covers[fid]
-        if out is None:
-            classes = self._classes.pop(fid)
-            mask = self.masks[fid]
+        built = self._covers
+        while len(built) <= fid:
+            f = len(built)
+            classes = self._classes.pop(f)
+            self.pending_images -= len(classes)
+            mask = self.masks[f]
             out = []
             for image, bits in classes.items():
                 cid = self._ids.get(mask | bits)
                 if cid is None:
-                    cid = self._contract(fid, image, bits, classes)
+                    cid = self._contract(f, image, bits, classes)
                 out.append(cid)
             out.sort()
-            self._covers[fid] = out
-        return out
+            built.append(out)
+        return built[fid]
 
     def extend(self, fid: int, i: int) -> int:
         """Id of span(flat + w_i).  Dimension grows iff i is not a member."""
-        step = self._steps.get(fid)
-        if step is None:
-            mask = self.masks[fid]
-            out = [fid] * len(self.vs.vectors)
-            for cid in self.covers(fid):
-                bits = self.masks[cid] ^ mask
-                while bits:
-                    low = bits & -bits
-                    out[low.bit_length() - 1] = cid
-                    bits ^= low
-            step = self._steps[fid] = tuple(out)
-        return step[i]
+        bit = 1 << i
+        if self.masks[fid] & bit:
+            return fid
+        return next(cid for cid in self.covers(fid) if self.masks[cid] & bit)
 
     def close(self) -> None:
         """Materialize every flat and the full cover (Hasse) diagram."""
-        fid = 0
         while self._classes:
-            self.covers(fid)
-            fid += 1
+            self.covers(len(self.masks) - 1)
 
     def fids_by_dim(self) -> list[list[int]]:
         self.close()
@@ -284,7 +288,7 @@ def ensure_table(H: VectorSet, table: FlatTable | None = None) -> FlatTable:
 
 def build_lattice(H: VectorSet, table: FlatTable | None = None) -> IntersectionLattice:
     """Enumerate all flats by closure from the atoms and solve the Mobius
-    recursion mu(t) = -sum_{s<t} mu(s) bottom-up by dimension, once per
+    recursion mu(t) = -sum_{s<t} mu(s) bottom-up in id order, once per
     table: the lattice is kept on the table and returned again."""
     table = ensure_table(H, table)
     if table._lattice is not None:
@@ -297,10 +301,7 @@ def build_lattice(H: VectorSet, table: FlatTable | None = None) -> IntersectionL
             children[cid].append(fid)
     mobius = [0] * nflats
     mobius[table.zero_fid] = 1
-    order = sorted(range(nflats), key=lambda f: table.dims[f])
-    for fid in order:
-        if fid == table.zero_fid:
-            continue
+    for fid in range(1, nflats):
         # Proper down-set of fid via the reversed cover diagram.
         seen = {fid}
         stack = [fid]

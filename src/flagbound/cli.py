@@ -27,10 +27,10 @@ SAMPLING_CHECK_MAX_N = 3
 SAMPLING_CHECK_COUNT = 200
 MAX_RANDOM_WEIGHT_ENTRIES = 10**6
 # Guard on the order walks of `lambda`, the identity walk and one per
-# --order-trials, counted in cover edges.  A walk costs about 0.5 µs per
-# cover edge (E_5: 89,878 edges, 0.043 s) plus about 20 µs per call,
-# counted as ORDER_WALK_CALL_EDGES more edges (E_1: 4 edges, 25 µs), so
-# the limit is about 50 s of walks on 2 CPUs (Python 3.11).
+# --order-trials, counted in cover edges.  A walk costs 0.12-0.16 µs per
+# cover edge (E_5: 89,878 edges, 0.011-0.014 s) plus about 20 µs per call,
+# counted as ORDER_WALK_CALL_EDGES more edges (E_1: 4 edges): the limit is
+# 15-19 s of walks on E_5 and about 45 s on E_1 (2 CPUs, Python 3.11).
 MAX_ORDER_WALK_EDGES = 10**8
 ORDER_WALK_CALL_EDGES = 40
 
@@ -359,9 +359,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_source(args)
         ok, payload = _HANDLERS[args.subcommand](args)
-    except GuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

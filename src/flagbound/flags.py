@@ -303,11 +303,9 @@ def minimal_tuple_count(
 
     Each qualifying tuple is reconstructed from its chain of suffix spans:
     per chain at most one tuple qualifies (the minimal member at each step
-    is unique), so the count is one forward pass over the flats in
-    increasing dimension, each flat's path count pushed to the covers whose
-    minimal member is the newly added vector.  Flat ids are not in
-    dimension order once a lazy walk has built part of the table, hence
-    the pass goes by fids_by_dim.
+    is unique), so the count is one forward pass over the flats in id
+    order, which ascends with dimension, each flat's path count pushed to
+    the covers whose minimal member is the newly added vector.
     """
     table = ensure_table(H, table)
     T = len(H)
@@ -315,27 +313,31 @@ def minimal_tuple_count(
         order = OrderPermutation.identity(T)
     if len(order) != T:
         raise ValueError(f"order on {len(order)} indices, set has {T}")
-    pos = order.position
-    n = H.ambient_dim - 1
-    by_dim = table.fids_by_dim()
+    table.close()
     masks = table.masks
-    minimal = [0] * len(masks)
-    for fid in range(len(masks)):
-        mem = table.members(fid)
-        if mem:
-            minimal[fid] = min(mem, key=pos.__getitem__)
+    bits = [1 << i for i in order.order]
+    # The order-minimal member of each flat as its bit; flat 0 has none.
+    minimal = [0]
+    for mask in masks[1:]:
+        for bit in bits:
+            if mask & bit:
+                minimal.append(bit)
+                break
     paths = [0] * len(masks)
     paths[table.zero_fid] = 1
-    for fids in by_dim[:n]:
-        for fid in fids:
-            count = paths[fid]
-            if count:
-                fmask = masks[fid]
-                for cid in table.covers(fid):
-                    if not (fmask >> minimal[cid]) & 1:
-                        paths[cid] += count
-    first = order.first
-    return sum(paths[fid] for fid in by_dim[n] if not (masks[fid] >> first) & 1)
+    for fid, mask in enumerate(masks):
+        count = paths[fid]
+        if count:
+            for cid in table.covers(fid):
+                if not mask & minimal[cid]:
+                    paths[cid] += count
+    n = H.ambient_dim - 1
+    first = bits[0]
+    return sum(
+        count
+        for count, mask, dim in zip(paths, masks, table.dims)
+        if dim == n and not mask & first
+    )
 
 
 def _qualifies(

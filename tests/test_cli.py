@@ -207,6 +207,15 @@ def test_flat_guard_exit_code(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_pending_images_guard_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(flagbound.arrangement, "MAX_PENDING_IMAGES", 20)
+    code, out, err = run(capsys, ["chambers", "--n", "3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: guard 'arrangement.pending_images'")
+    assert "Traceback" not in err
+
+
 def test_contraction_guard_exit_code(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(flagbound.arrangement, "MAX_CONTRACTION_STEPS", 1000)
     path = tmp_path / "line50.txt"

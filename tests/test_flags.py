@@ -1,10 +1,17 @@
 import io
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from flagbound.arrangement import FlatTable, VectorSet, chamber_count, generate_sign_vectors
+from flagbound.arrangement import (
+    FlatTable,
+    VectorSet,
+    build_lattice,
+    chamber_count,
+    generate_sign_vectors,
+)
 from flagbound.errors import GuardError
 from flagbound.exactlin import span
 from flagbound.flags import (
@@ -167,19 +174,31 @@ def test_order_invariance(sign_tables):
             assert minimal_tuple_count(H, order, table) == base
 
 
-def test_minimal_count_after_lazy_tuple_walk():
-    # The tuple walk builds the table depth first, so its flat ids are out
-    # of dimension order before minimal_tuple_count closes it; a pass in id
-    # order would miss paths.
+def test_walked_table_numbers_flats_like_a_fresh_one():
+    # Covers are built in id order, so flat ids ascend with dimension after
+    # a depth-first tuple walk or random extend steps, and the walked table
+    # ends up equal to a fresh one, id for id.
     cases = [generate_sign_vectors(3), generate_sign_vectors(4), random_spanning_set(5, 10, 5)]
     for H in cases:
-        table = FlatTable(H)
-        list(enumerate_tuples(H, table))
-        assert table.dims != sorted(table.dims)
+        walked = FlatTable(H)
+        list(enumerate_tuples(H, walked))
+        assert walked.dims == sorted(walked.dims)
+        stepped = FlatTable(H)
+        rng = random.Random(len(H))
+        for _ in range(20):
+            stepped.extend(rng.randrange(len(stepped.masks)), rng.randrange(len(H)))
+        assert stepped.dims == sorted(stepped.dims)
         fresh = FlatTable(H)
-        for order in [None] + [OrderPermutation.random(len(H), s) for s in range(3)]:
-            assert (minimal_tuple_count(H, order, table)
-                    == minimal_tuple_count(H, order, fresh))
+        fresh.close()
+        for table in (walked, stepped):
+            table.close()
+            assert table.masks == fresh.masks
+            assert all(table.covers(f) == fresh.covers(f) for f in range(len(fresh.masks)))
+            assert table.contraction_steps == fresh.contraction_steps
+            for order in [None] + [OrderPermutation.random(len(H), s) for s in range(3)]:
+                assert (minimal_tuple_count(H, order, table)
+                        == minimal_tuple_count(H, order, fresh))
+            assert build_lattice(H, table).mobius == build_lattice(H, fresh).mobius
 
 
 def suffix_minimal_tuples(H, order, include_first_condition):
