@@ -1,12 +1,15 @@
 """
-Brute-force census of threshold functions
-=========================================
+Census of threshold functions
+=============================
 
 A Boolean function is threshold when some affine form over its ±1-encoded
 inputs is nonnegative exactly on its true points.  Feasibility is decided
 by exact Fourier-Motzkin elimination, so no floating point is involved.
-The census gives an independent check on the chamber counts, and the
-bounds report assembles everything into one row.
+The census is an exhaustive search over the prefix tree of truth tables,
+pruned by that feasibility test: a prefix no affine form can realize has
+no threshold extension, so its subtree is skipped.  The census gives an
+independent check on the chamber counts, and the bounds report assembles
+everything into one row.
 """
 
 from flagbound.threshold import (

@@ -27,12 +27,14 @@ SAMPLING_CHECK_MAX_N = 3
 SAMPLING_CHECK_COUNT = 200
 MAX_RANDOM_WEIGHT_ENTRIES = 10**6
 # Guard on the order walks of `lambda`, the identity walk and one per
-# --order-trials, counted in cover edges.  A walk costs 0.12-0.16 µs per
-# cover edge (E_5: 89,878 edges, 0.011-0.014 s) plus about 20 µs per call,
-# counted as ORDER_WALK_CALL_EDGES more edges (E_1: 4 edges): the limit is
-# 15-19 s of walks on E_5 and about 45 s on E_1 (2 CPUs, Python 3.11).
+# --order-trials, counted in cover edges.  A walk costs 0.17-0.25 µs per
+# cover edge plus 17-25 µs per call.  Timed in alternating blocks of E_1
+# (4 edges) and E_5 (89,878 edges) walks, the per-call cost is 90-107
+# edges (2 CPUs, Python 3.11), counted as ORDER_WALK_CALL_EDGES more edges
+# per walk: the limit is about 960,000 walks on E_1 and 1,110 on E_5, and
+# `lambda` at either took 22 s.
 MAX_ORDER_WALK_EDGES = 10**8
-ORDER_WALK_CALL_EDGES = 40
+ORDER_WALK_CALL_EDGES = 100
 
 
 def _load_set(args: argparse.Namespace) -> tuple[VectorSet, dict]:
@@ -329,7 +331,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--field", default="2", help="prime or Q")
 
-    p = sub.add_parser("count-threshold", help="brute-force census")
+    p = sub.add_parser(
+        "count-threshold",
+        help="census: exhaustive search over the truth-table prefix tree, "
+        "pruned by exact FM feasibility",
+    )
     common(p, n_only=True)
 
     p = sub.add_parser("verify", help="identity suite with pass/fail per check")

@@ -1,9 +1,10 @@
-"""Brute-force census of threshold functions and the combined bounds report.
+"""Census of threshold functions and the combined bounds report.
 
 A function on the n-cube is a threshold function when some affine form is
 nonnegative exactly on its true points.  Feasibility of that sign pattern
 is decided exactly, so the census is an oracle completely independent of
-the lattice and flag machinery it is reconciled against.
+the lattice and flag machinery it is reconciled against.  The census is an
+exhaustive search over the truth-table prefix tree, pruned by that test.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .arrangement import (
     FlatTable,
@@ -132,6 +133,12 @@ def _input_vectors(n: int) -> tuple[tuple[int, ...], ...]:
     return generate_sign_vectors(n).vectors
 
 
+def _margin_row(v: tuple[int, ...], bit: int) -> tuple[tuple[int, ...], int]:
+    """The row input v adds to the margin system: >= 0 where the function
+    is true, <= -1 (as -v >= 1) where it is false."""
+    return (v, 0) if bit else (tuple(-x for x in v), 1)
+
+
 def is_threshold(f: BooleanFunction) -> bool:
     """Whether some affine form is >= 0 exactly on the function's true
     inputs.
@@ -142,30 +149,43 @@ def is_threshold(f: BooleanFunction) -> bool:
     """
     if f.n > SINGLE_CALL_MAX_N:
         raise GuardError("is_threshold.n", f"n <= {SINGLE_CALL_MAX_N}", f.n)
-    rows = []
-    for v, bit in zip(_input_vectors(f.n), f.truth):
-        if bit:
-            rows.append((v, 0))
-        else:
-            rows.append((tuple(-x for x in v), 1))
+    rows = [_margin_row(v, bit) for v, bit in zip(_input_vectors(f.n), f.truth)]
     return _feasible(rows, f.n + 1)
 
 
+def _threshold_codes(n: int) -> Iterator[int]:
+    """Every threshold truth-table code (bit k = input k, as in
+    `BooleanFunction.from_int`), depth first over the prefix tree of the
+    inputs in `_input_vectors` order.  A child prefix is entered only when
+    its rows are feasible; every extension of an infeasible system is
+    infeasible, so the pruning is exact."""
+    vectors = _input_vectors(n)
+
+    def walk(rows: list, code: int) -> Iterator[int]:
+        k = len(rows)
+        if k == len(vectors):
+            yield code
+            return
+        for bit in (0, 1):
+            child = rows + [_margin_row(vectors[k], bit)]
+            if _feasible(child, n + 1):
+                yield from walk(child, code | bit << k)
+
+    return walk([], 0)
+
+
 def count_threshold_functions(n: int) -> int:
-    """Exhaustive count over all 2^(2^n) truth tables."""
+    """Count of threshold functions of n variables, by the pruned search
+    over all 2^(2^n) truth tables."""
     if not 1 <= n <= CENSUS_MAX_N:
         raise GuardError("count_threshold_functions.n", f"1 <= n <= {CENSUS_MAX_N}", n)
-    total = 0
-    for code in range(1 << (1 << n)):
-        if is_threshold(BooleanFunction.from_int(n, code)):
-            total += 1
-    return total
+    return sum(1 for _ in _threshold_codes(n))
 
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Lower and upper bounds around the chamber count, with the brute
-    census when within reach."""
+    """Lower and upper bounds around the chamber count, with the census
+    when within reach."""
 
     n: int
     lower_bound: Fraction

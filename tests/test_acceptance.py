@@ -30,7 +30,13 @@ from flagbound.flags import (
     monte_carlo_expectation,
 )
 from flagbound.homology import homology_rank, mobius_via_homology
-from flagbound.threshold import count_threshold_functions
+import flagbound.threshold
+from flagbound.threshold import (
+    BooleanFunction,
+    _threshold_codes,
+    count_threshold_functions,
+    is_threshold,
+)
 
 from conftest import random_spanning_set
 
@@ -52,13 +58,25 @@ def ten_weight_vectors(count):
     return vectors
 
 
-def test_criterion_01_ground_truth_chain(sign_tables):
+def test_criterion_01_ground_truth_chain(sign_tables, monkeypatch):
     with criterion(1, "ground truth chain"):
         start = time.monotonic()
         expected = {1: 4, 2: 14, 3: 104, 4: 1882}
+        # FM calls of the pruned census; the exhaustive loop makes 2^(2^n)
+        expected_calls = {1: 6, 2: 30, 3: 350, 4: 11030}
+        feasible = flagbound.threshold._feasible
+        calls = [0]
+
+        def counted(rows, nvars):
+            calls[0] += 1
+            return feasible(rows, nvars)
+
+        monkeypatch.setattr(flagbound.threshold, "_feasible", counted)
         for n in range(1, 5):
             H, table = sign_tables[n]
+            calls[0] = 0
             census = count_threshold_functions(n)
+            assert calls[0] == expected_calls[n]
             lattice = chamber_count(H, table)
             sweep = chamber_count_dr(H)
             assert census == lattice == sweep == expected[n]
@@ -164,6 +182,11 @@ def test_criterion_09_performance_path():
         assert 2 * lam <= chambers
         assert count_threshold_functions(3) \
             == chamber_count(generate_sign_vectors(3)) == 104
+        # the exhaustive loop over all 65,536 truth tables is the reference
+        # for the pruned census
+        exhaustive = {c for c in range(1 << 16)
+                      if is_threshold(BooleanFunction.from_int(4, c))}
+        assert set(_threshold_codes(4)) == exhaustive
         assert time.monotonic() - start <= 1800
 
 

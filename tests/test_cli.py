@@ -120,12 +120,14 @@ def test_lambda_negative_order_trials_exit_code(capsys):
 
 
 def test_lambda_order_walk_guard_exit_code(capsys, monkeypatch):
-    # E_2 has 22 cover edges, so each walk counts 22 + 40 edges: 15 walks
-    # (14 trials and the identity order) fit under 1,000, 31 do not.
+    # E_2 has 22 cover edges, so each walk (the identity order and one per
+    # trial) counts 22 + ORDER_WALK_CALL_EDGES edges against the limit.
     monkeypatch.setattr(flagbound.cli, "MAX_ORDER_WALK_EDGES", 1000)
-    code, _, _ = run(capsys, ["lambda", "--n", "2", "--order-trials", "14"])
+    fits = 1000 // (22 + flagbound.cli.ORDER_WALK_CALL_EDGES) - 1
+    assert fits >= 0
+    code, _, _ = run(capsys, ["lambda", "--n", "2", "--order-trials", str(fits)])
     assert code == 0
-    code, out, err = run(capsys, ["lambda", "--n", "2", "--order-trials", "30"])
+    code, out, err = run(capsys, ["lambda", "--n", "2", "--order-trials", str(fits + 1)])
     assert code == 2
     assert out == ""
     assert err.startswith("error: guard 'lambda.order_walk_edges'")

@@ -35,11 +35,7 @@ def assert_resolves(imports):
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
-# The two census demos (chamber_counts, threshold_census) take 17-21 s each
-# and are left out.
-@pytest.mark.parametrize(
-    "name", ["flag_sum_lower_bound", "homology_identities", "order_invariance"]
-)
+@pytest.mark.parametrize("name", DEMOS)
 def test_demo_runs(name):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

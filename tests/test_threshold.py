@@ -8,6 +8,7 @@ from flagbound.errors import GuardError
 from flagbound.threshold import (
     BooleanFunction,
     _input_vectors,
+    _threshold_codes,
     bounds_report,
     count_threshold_functions,
     is_threshold,
@@ -37,6 +38,14 @@ def test_counts_small():
     assert count_threshold_functions(1) == 4
     assert count_threshold_functions(2) == 14
     assert count_threshold_functions(3) == 104
+
+
+def test_pruned_codes_match_exhaustive_loop():
+    # the exhaustive loop over every truth table is the reference
+    for n in (1, 2, 3):
+        exhaustive = {c for c in range(1 << (1 << n))
+                      if is_threshold(BooleanFunction.from_int(n, c))}
+        assert set(_threshold_codes(n)) == exhaustive
 
 
 def test_negation_closure():
