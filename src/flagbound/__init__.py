@@ -2,10 +2,11 @@
 
 The count of threshold functions equals the number of chambers of the
 arrangement normal to the sign vectors (1, b_1, .., b_n), b_i = +-1.
-Four independent routes to that number and its bounds live here: lattice
+Five independent routes to that number and its bounds live here: lattice
 chamber counting, a deletion-restriction recursion, a weighted sum over
-combinatorial flags whose doubled value is a lower bound, and a direct
-census by exact separability tests.
+combinatorial flags whose doubled value is a lower bound, homology ranks
+of the proper-span complex, and a direct census by exact separability
+tests.
 
 The package exports the quick-start names; everything else is imported
 from its submodule (arrangement, exactlin, flags, homology, threshold).

@@ -52,6 +52,12 @@ MAX_CONTRACTION_STEPS = 2 * 10**7
 # peaks at 4.3 million images before MAX_FLATS; `chambers --n 7` stops here
 # after about 20 s at 850 MB peak RSS, `--n 9` after 13 s at 1.1 GB (2 CPUs).
 MAX_PENDING_IMAGES = 5 * 10**6
+# Guard on the vectors restricted by one deletion-restriction count, charged
+# m(m - 1)/2 per uncached set of m normals before its loop runs.  A step took
+# 3.2-3.7 µs on 1,500 and 2,000 vectors (1, k) in R^2 (2 CPUs): about 35 s
+# at the limit.  E_6 takes 991,004 steps (3.4-3.9 s); E_7 stops here after
+# 33 s at 122 MB.  Depth D costs about D^3/6 steps, so it stays below 400.
+MAX_DR_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -322,40 +328,31 @@ def chamber_count(H: VectorSet, table: FlatTable | None = None) -> int:
     return build_lattice(H, table).chamber_count()
 
 
-def _hyperplane_basis(h: Vector) -> list[Vector]:
-    """Integer basis of the hyperplane orthogonal to h."""
-    j = next(k for k, x in enumerate(h) if x != 0)
-    a = h[j]
-    d = len(h)
-    basis = []
-    for k in range(d):
-        if k == j:
-            continue
-        v = [0] * d
-        v[k] = a
-        v[j] = -h[k]
-        basis.append(tuple(v))
-    return basis
-
-
-def _dr_regions(normals: frozenset[Vector], dim: int, memo: dict) -> int:
-    if not normals:
-        return 1
+def _dr_regions(normals: frozenset[Vector], dim: int, memo: dict, steps: list[int]) -> int:
+    """Regions cut from R^dim by distinct primitive `normals`.  Deleting the
+    sorted normals h_m, .., h_1 in turn gives r = 1 + sum_j r(restriction of
+    {h_i : i < j} to h_j), so only the restrictions recurse, each one
+    dimension down.  steps[0] counts the vectors restricted so far."""
     key = (dim, normals)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    h = max(normals)
-    rest = normals - {h}
-    deleted = _dr_regions(rest, dim, memo)
-    basis = _hyperplane_basis(h)
-    induced = set()
-    for w in rest:
-        u = tuple(sum(b[k] * w[k] for k in range(dim)) for b in basis)
-        if any(u):
+    hs = sorted(normals)
+    total = steps[0] + len(hs) * (len(hs) - 1) // 2
+    if total > MAX_DR_STEPS:
+        raise GuardError("arrangement.dr_steps", f"<= {MAX_DR_STEPS}", total)
+    steps[0] = total
+    out = 1
+    for j, h in enumerate(hs):
+        # One fraction-free step on h's first nonzero coordinate c, c dropped.
+        c = next(k for k, x in enumerate(h) if x)
+        a = h[c]
+        induced = set()
+        for w in hs[:j]:
+            u = [a * x - w[c] * y for x, y in zip(w, h)]
+            del u[c]
             induced.add(primitive(u))
-    restricted = _dr_regions(frozenset(induced), dim - 1, memo)
-    out = deleted + restricted
+        out += _dr_regions(frozenset(induced), dim - 1, memo, steps)
     memo[key] = out
     return out
 
@@ -363,12 +360,12 @@ def _dr_regions(normals: frozenset[Vector], dim: int, memo: dict) -> int:
 def chamber_count_dr(H: VectorSet) -> int:
     """Region count by deletion-restriction; independent of the lattice path.
 
-    r(A) = r(A minus h) + r(A restricted to h), with the restriction taken
-    exactly: the remaining normals are projected onto an integer basis of
-    the hyperplane, zero projections dropped and parallels merged.
+    r(A) = r(A minus h) + r(A restricted to h), looped over the deletions so
+    that only the restrictions recurse, at most d deep.  Each restriction is
+    exact: one fraction-free step onto the hyperplane, parallels merged.
     """
     normals = frozenset(primitive(v) for v in H.vectors)
-    return _dr_regions(normals, H.ambient_dim, {})
+    return _dr_regions(normals, H.ambient_dim, {}, [0])
 
 
 def write_vector_set(target: str | TextIO, vs: VectorSet) -> None:

@@ -218,49 +218,45 @@ def _flag_sum_coefficients(table: FlatTable) -> tuple[Fraction, list[Fraction]]:
     """(total, per_index): the weighted flag sum equals
     total - sum_i p_i * per_index[i] for any weight vector p.
 
-    One chain walk over the cover diagram groups the ordered independent
-    (d-1)-tuples by {top flat: {flag product: tuple count}}: a tuple
-    corresponds to the chain of its suffix spans, a chain
-    F_1 < .. < F_{d-1} is shared by exactly
-    prod_l (count(F_l) - count(F_{l-1})) tuples, and every tuple on one
-    chain has the same flag product prod_l count(F_l), where count is the
-    number of vectors lying in a flat.  The pair does not depend on the
-    weights, so it is kept on the table as `_flag_sums`.
+    A tuple corresponds to the chain of its suffix spans: a chain
+    F_1 < .. < F_{d-1} is shared by prod_l (c(F_l) - c(F_{l-1})) tuples, each
+    with flag product prod_l c(F_l), c(F) the number of vectors in F.  So a
+    coatom's share, the sum over its chains of prod_l (c(F_l) - c(F_{l-1}))
+    / c(F_l), comes from one forward pass over the flats in id order, each
+    share an integer scaled by L^dim(F), L the lcm of the member counts.
+    The pair does not depend on the weights, so it is kept on the table as
+    `_flag_sums`.
     """
     cached = getattr(table, "_flag_sums", None)
     if cached is not None:
         return cached
-    layer: dict[int, dict[int, int]] = {table.zero_fid: {1: 1}}
-    for _ in range(table.vs.ambient_dim - 1):
-        nxt: dict[int, dict[int, int]] = {}
-        for fid, prods in layer.items():
-            c_lo = table.counts[fid]
+    table.close()
+    counts = table.counts
+    n = table.vs.ambient_dim - 1
+    lcm = math.lcm(*counts[1:])  # flat 0 has no members
+    share = [0] * len(counts)
+    share[table.zero_fid] = 1
+    total = 0
+    per_index = [0] * len(table.vs)
+    for fid, dim in enumerate(table.dims):
+        if dim < n:
             for cid in table.covers(fid):
-                c_hi = table.counts[cid]
-                mult = c_hi - c_lo
-                acc = nxt.setdefault(cid, {})
-                for prod, cnt in prods.items():
-                    key = prod * c_hi
-                    acc[key] = acc.get(key, 0) + cnt * mult
-        layer = nxt
-    total = Fraction(0)
-    per_index = [Fraction(0)] * len(table.vs)
-    for top_fid, by_product in layer.items():
-        share = sum(Fraction(cnt, prod) for prod, cnt in by_product.items())
-        total += share
-        for i in table.members(top_fid):
-            per_index[i] += share
-    table._flag_sums = (total, per_index)
-    return total, per_index
+                share[cid] += share[fid] * (counts[cid] - counts[fid]) * (lcm // counts[cid])
+        elif dim == n:
+            total += share[fid]
+            for i in table.members(fid):
+                per_index[i] += share[fid]
+    scale = lcm**n
+    table._flag_sums = (Fraction(total, scale), [Fraction(x, scale) for x in per_index])
+    return table._flag_sums
 
 
 def flag_weighted_sum(H: VectorSet, p, table: FlatTable | None = None) -> Fraction:
     """Sum over ordered independent tuples of
     (1 - weight of the top span's members) / flag product.
 
-    Grouped evaluation: tuples sharing (top flat, flag product) are counted
-    by one chain walk over the flat table, so the rational arithmetic touches
-    each group once instead of each tuple.
+    Evaluated from the coatoms' shares (_flag_sum_coefficients), so the
+    rational arithmetic touches each vector once instead of each tuple.
     """
     p = _as_weights(p, len(H))
     table = ensure_table(H, table)

@@ -141,8 +141,15 @@ def test_chamber_counts_small(sign_tables):
 def test_deletion_restriction_base_case():
     # a single hyperplane splits 3-space into two parts; VectorSet
     # requires a spanning set, so probe the recursion directly
-    assert _dr_regions(frozenset({(1, 0, 0)}), 3, {}) == 2
-    assert _dr_regions(frozenset(), 3, {}) == 1
+    assert _dr_regions(frozenset({(1, 0, 0)}), 3, {}, [0]) == 2
+    assert _dr_regions(frozenset(), 3, {}, [0]) == 1
+
+
+def test_deletion_restriction_many_lines():
+    # 1,000 lines through the origin of R^2 cut it into 2,000 sectors; one
+    # recursion per deleted line would pass Python's recursion limit
+    H = VectorSet(tuple((1, k) for k in range(1000)), 2)
+    assert chamber_count_dr(H) == 2000
 
 
 def test_schlafli_values_and_guard():
@@ -231,7 +238,8 @@ def test_flat_table_members_sorted(sign_tables):
 
 
 def test_random_sets_zaslavsky_matches_sweep():
-    cases = [(3, 5, 0), (3, 6, 1), (3, 7, 2), (4, 6, 3), (4, 8, 4)]
+    cases = [(3, 5, 0), (3, 6, 1), (3, 7, 2), (4, 6, 3), (4, 8, 4),
+             (4, 16, 5), (5, 10, 6), (4, 12, 7)]
     for dim, count, seed in cases:
         H = random_spanning_set(dim, count, seed)
         assert chamber_count(H) == chamber_count_dr(H)

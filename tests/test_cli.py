@@ -229,6 +229,20 @@ def test_contraction_guard_exit_code(capsys, monkeypatch, tmp_path):
     assert "Traceback" not in err
 
 
+def test_dr_steps_guard_exit_code(capsys, monkeypatch):
+    # deletion-restriction on E_4 restricts exactly 1,224 vectors
+    monkeypatch.setattr(flagbound.arrangement, "MAX_DR_STEPS", 1224)
+    code, out, err = run(capsys, ["chambers", "--n", "4", "--oracle"])
+    assert code == 0
+    assert "agree: True" in out.splitlines()
+    monkeypatch.setattr(flagbound.arrangement, "MAX_DR_STEPS", 1223)
+    code, out, err = run(capsys, ["chambers", "--n", "4", "--oracle"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: guard 'arrangement.dr_steps'")
+    assert "Traceback" not in err
+
+
 def test_random_weights_guard_exit_code(capsys):
     code, out, err = run(
         capsys, ["bound", "--n", "2", "--weights", "random:0:250001"])

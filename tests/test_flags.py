@@ -102,14 +102,23 @@ def test_sum_independent_of_p(sign_tables):
 
 
 def test_grouped_sum_matches_enumeration(sign_tables):
-    H, table = sign_tables[2]
-    for s in range(3):
-        p = WeightVector.random(4, s)
-        assert (flag_weighted_sum(H, p, table)
-                == flag_weighted_sum_by_enumeration(H, p, table))
+    for n in (2, 3):
+        H, table = sign_tables[n]
+        for s in range(3):
+            p = WeightVector.random(len(H), s)
+            assert (flag_weighted_sum(H, p, table)
+                    == flag_weighted_sum_by_enumeration(H, p, table))
     R = random_spanning_set(3, 6, 17)
     p = WeightVector.random(6, 0)
     assert flag_weighted_sum(R, p) == flag_weighted_sum_by_enumeration(R, p)
+    # random sets in R^4: other member counts, so another lcm scales the shares
+    for seed in range(3):
+        R = random_spanning_set(4, 7, seed)
+        table = FlatTable(R)
+        for s in range(3):
+            p = WeightVector.random(7, s)
+            assert (flag_weighted_sum(R, p, table)
+                    == flag_weighted_sum_by_enumeration(R, p, table))
 
 
 def test_weight_vector_errors():
