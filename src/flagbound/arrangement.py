@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 from .errors import GuardError
-from .exactlin import Vector, _insert, primitive, rank
+from .exactlin import Vector, primitive, rank
 
 __all__ = [
     "VectorSet",
@@ -32,26 +32,27 @@ __all__ = [
 SIGN_VECTORS_MAX_N = 20
 SCHLAFLI_MAX_N = 62
 # Guard on the flats of one table, checked as each flat is added.  Measured
-# by tracemalloc after close(), a flat costs about 630 B at T = 32 (E_5) and
-# 610 B at T = 64 (64 integer vectors in R^4), or 780 B at E_5 with every
-# member tuple filled in.  A flat whose covers are not built yet also holds
-# its images (MAX_PENDING_IMAGES).  `chambers --n 6` reaches this limit
-# after 50-60 s at 1.03 GB peak RSS (2 CPUs).
+# by tracemalloc after close(), a flat costs about 375 B at T = 32 (E_5) and
+# 370 B at T = 64 (64 integer vectors in R^4).  A flat whose covers are not
+# built yet also holds its images, and on the sign-vector sets that guard
+# (MAX_PENDING_IMAGES) stops first.
 MAX_FLATS = 600_000
 # Guard on the fraction-free contraction steps of one table: each new cover
-# costs one step per other class of its parent, so T vectors in general
-# position in R^2 cost T(T - 1) steps for only T + 2 flats.  A step took
-# 1.9 µs on 2,000 vectors (1, k) in R^2 (3,998,000 steps in 7.6 s, 2 CPUs),
-# so the limit is about 40 s of steps there.  E_5 takes 166,044 steps; E_6
-# has taken 15.1 million when it reaches MAX_FLATS, so `chambers --n 6`
-# still stops on the flat guard.
-MAX_CONTRACTION_STEPS = 2 * 10**7
-# Guard on the images held by the flats whose covers are not built yet,
-# checked as each flat is added.  An image with its dict entry takes 140 B
-# (E_6) to 160 B (E_7) by tracemalloc, about 0.75 GB at the limit.  E_6
-# peaks at 4.3 million images before MAX_FLATS; `chambers --n 7` stops here
-# after about 20 s at 850 MB peak RSS, `--n 9` after 13 s at 1.1 GB (2 CPUs).
-MAX_PENDING_IMAGES = 5 * 10**6
+# steps every other class of its parent, so T vectors in general position in
+# R^2 cost T(T - 1) steps for only T + 2 flats.  A step on images of width w
+# takes about 0.14 µs * (w + 12): 2.0 µs at w = 2 (2,000 vectors (1, k) in
+# R^2) and 15.8 µs at w = 98 (the coordinate vectors of R^100), 2 CPUs.  So a
+# step is charged w + 12: E_5 is charged 2,562,412, and 8,000 vectors (1, k)
+# in R^2 stop here after 38 s, 1,000 vectors (1, k, k^2) in R^3 after 37 s.
+MAX_CONTRACTION_STEPS = 2 * 10**8
+# Guard on the image entries held by the flats whose covers are not built
+# yet, d - k per image of a k-dimensional flat, checked as each flat is
+# added.  By tracemalloc an entry takes 9 B at width 98 (the coordinates of
+# R^100), 41 B on E_6 and 62 B at width 2 (1,000 vectors (1, k, k^2) in R^3):
+# 0.1 to 0.6 GB at the limit.  E_5 peaks at 114,018.  `chambers --n 6` stops
+# here after 17 s at 501 MB peak RSS, `--n 7` after 5.5 s at 271 MB, the
+# coordinates of R^100 or R^200 after 1.8 s at about 100 MB (2 CPUs).
+MAX_PENDING_IMAGES = 10**7
 # Guard on the vectors restricted by one deletion-restriction count, charged
 # m(m - 1)/2 per uncached set of m normals before its loop runs.  A step took
 # 3.2-3.7 µs on 1,500 and 2,000 vectors (1, k) in R^2 (2 CPUs): about 35 s
@@ -138,17 +139,17 @@ def schlafli_bound(n: int) -> int:
 class FlatTable:
     """Interning table for the flats (distinct spans of subsets) of a VectorSet.
 
-    A flat is keyed by its member bitmask (bit i set iff w_i lies in it) and
-    stored under a small integer id; id 0 is the zero subspace.  Covers come
-    from the contraction of the arrangement to the flat: the flats covering F
-    are the spans of F and one class of its non-members, two non-members
-    sharing a cover iff their images in R^d / F are parallel.  Each flat keeps
-    one primitive integer image per class until its covers are built, so no
+    A flat is its member bitmask (bit i set iff w_i lies in it), stored under
+    a small integer id; id 0 is the zero subspace.  Covers come from the
+    contraction of the arrangement to the flat: the flats covering F are the
+    spans of F and one class of its non-members, two non-members sharing a
+    cover iff their images in R^d / F are parallel.  A flat keeps one
+    primitive integer image per class until its covers are built, so no
     cover needs a membership or rank test.  The covers of a flat are built
-    only after those of every flat with a smaller id, so flat ids ascend
-    with dimension and a table numbers its flats the same way whichever
-    walk built it.  The table is a cache: it never affects results, only
-    the cost of obtaining them.
+    only after those of every flat with a smaller id, so flat ids ascend with
+    dimension and a table numbers its flats the same way whichever walk built
+    it.  rows[fid] is a basis of the flat, not a canonical one.  The table is
+    a cache: it never affects results, only the cost of obtaining them.
     """
 
     def __init__(self, vs: VectorSet):
@@ -161,13 +162,14 @@ class FlatTable:
         # Covers of flats 0..len(_covers) - 1, the prefix built so far.
         self._covers: list[list[int]] = []
         # Image in R^d / F -> member bits, for each flat F whose covers are
-        # not built yet; their total count is bounded by MAX_PENDING_IMAGES.
+        # not built yet; their entries are bounded by MAX_PENDING_IMAGES.
         self._classes: dict[int, dict[Vector, int]] = {}
         self.pending_images = 0
-        self._members_memo: dict[int, tuple[int, ...]] = {}
-        # The lattice with its Mobius values, set by build_lattice.
+        # The lattice with its Mobius values, set by build_lattice, and the
+        # weight-free flag-sum pair, set by flags._flag_sum_coefficients.
         self._lattice: IntersectionLattice | None = None
-        # Fraction-free steps taken so far, bounded by MAX_CONTRACTION_STEPS.
+        self._flag_sums: tuple | None = None
+        # Fraction-free steps so far, charged as MAX_CONTRACTION_STEPS says.
         self.contraction_steps = 0
         # A VectorSet has no parallel pair, so each atom is its own class.
         atoms = {primitive(w): 1 << i for i, w in enumerate(vs.vectors)}
@@ -177,7 +179,7 @@ class FlatTable:
         fid = len(self.masks)
         if fid >= MAX_FLATS:
             raise GuardError("arrangement.flats", f"<= {MAX_FLATS}", fid + 1)
-        pending = self.pending_images + len(classes)
+        pending = self.pending_images + len(classes) * (self.vs.ambient_dim - len(rows))
         if pending > MAX_PENDING_IMAGES:
             raise GuardError("arrangement.pending_images", f"<= {MAX_PENDING_IMAGES}", pending)
         self.pending_images = pending
@@ -195,7 +197,7 @@ class FlatTable:
         R^d / (F + image) by one fraction-free step on a coordinate c where
         image is nonzero, c then dropped; the c with the least |image[c]|
         keeps the entries small."""
-        steps = self.contraction_steps + len(classes) - 1
+        steps = self.contraction_steps + (len(classes) - 1) * (len(image) + 12)
         if steps > MAX_CONTRACTION_STEPS:
             raise GuardError(
                 "arrangement.contraction_steps", f"<= {MAX_CONTRACTION_STEPS}", steps
@@ -211,9 +213,10 @@ class FlatTable:
             z = [a * u - b * v for u, v in zip(y, image)]
             del z[c]
             z = primitive(z)
-            sub[z] = sub.get(z, 0) | ybits
+            prev = sub.get(z)  # an unmerged class shares its parent's bits
+            sub[z] = ybits if prev is None else prev | ybits
         i = (bits & -bits).bit_length() - 1
-        rows = _insert(self.rows[fid], self.vs.vectors[i])
+        rows = self.rows[fid] + (self.vs.vectors[i],)
         return self._add(self.masks[fid] | bits, rows, sub)
 
     def covers(self, fid: int) -> list[int]:
@@ -222,7 +225,7 @@ class FlatTable:
         while len(built) <= fid:
             f = len(built)
             classes = self._classes.pop(f)
-            self.pending_images -= len(classes)
+            self.pending_images -= len(classes) * (self.vs.ambient_dim - self.dims[f])
             mask = self.masks[f]
             out = []
             for image, bits in classes.items():
@@ -249,17 +252,13 @@ class FlatTable:
     def fids_by_dim(self) -> list[list[int]]:
         self.close()
         out: list[list[int]] = [[] for _ in range(self.vs.ambient_dim + 1)]
-        for fid in range(len(self.rows)):
-            out[self.dims[fid]].append(fid)
+        for fid, dim in enumerate(self.dims):
+            out[dim].append(fid)
         return out
 
     def members(self, fid: int) -> tuple[int, ...]:
-        out = self._members_memo.get(fid)
-        if out is None:
-            mask = self.masks[fid]
-            out = tuple(i for i in range(len(self.vs.vectors)) if (mask >> i) & 1)
-            self._members_memo[fid] = out
-        return out
+        mask = self.masks[fid]
+        return tuple(i for i in range(len(self.vs.vectors)) if (mask >> i) & 1)
 
 
 class IntersectionLattice:
@@ -300,7 +299,7 @@ def build_lattice(H: VectorSet, table: FlatTable | None = None) -> IntersectionL
     if table._lattice is not None:
         return table._lattice
     table.close()
-    nflats = len(table.rows)
+    nflats = len(table.masks)
     children: list[list[int]] = [[] for _ in range(nflats)]
     for fid in range(nflats):
         for cid in table.covers(fid):

@@ -99,7 +99,7 @@ def _run_lambda(args: argparse.Namespace) -> tuple[bool, dict]:
     vs, source = _load_set(args)
     table = FlatTable(vs)
     table.close()
-    edges = sum(len(table.covers(f)) for f in range(len(table.rows)))
+    edges = sum(len(table.covers(f)) for f in range(len(table.masks)))
     work = (args.order_trials + 1) * (edges + ORDER_WALK_CALL_EDGES)
     if work > MAX_ORDER_WALK_EDGES:
         raise GuardError("lambda.order_walk_edges", f"<= {MAX_ORDER_WALK_EDGES}", work)

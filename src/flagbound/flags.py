@@ -227,9 +227,8 @@ def _flag_sum_coefficients(table: FlatTable) -> tuple[Fraction, list[Fraction]]:
     The pair does not depend on the weights, so it is kept on the table as
     `_flag_sums`.
     """
-    cached = getattr(table, "_flag_sums", None)
-    if cached is not None:
-        return cached
+    if table._flag_sums is not None:
+        return table._flag_sums
     table.close()
     counts = table.counts
     n = table.vs.ambient_dim - 1

@@ -233,9 +233,10 @@ def homology_rank(
     table: FlatTable | None = None,
 ) -> int:
     """Rank of the degree-m reduced homology of the proper-span complex,
-    as nullity(boundary_out) - rank(boundary_in) over the given field."""
-    if m < 0:
-        raise ValueError(f"degree must be >= 0, got {m}")
+    as nullity(boundary_out) - rank(boundary_in) over the given field.
+    The reduced complex starts at degree -1, the empty simplex."""
+    if m < -1:
+        raise ValueError(f"degree must be >= -1, got {m}")
     fld = _check_field(fld)
     return _slice_rank(build_complex_slice(H, m, table), fld)
 

@@ -19,7 +19,7 @@ from flagbound.arrangement import (
     write_vector_set,
 )
 from flagbound.errors import GuardError
-from flagbound.exactlin import SubspaceBasis, span
+from flagbound.exactlin import span
 
 from conftest import random_spanning_set
 
@@ -180,7 +180,8 @@ def test_flat_members_are_exactly_contained_vectors(sign_tables):
     for H, table in cases:
         table.close()
         for f in range(len(table.rows)):
-            sub = SubspaceBasis(H.ambient_dim, table.rows[f])
+            assert len(table.rows[f]) == table.dims[f]
+            sub = span(table.rows[f], H.ambient_dim)
             members = table.members(f)
             inside = tuple(i for i, v in enumerate(H) if v in sub)
             assert members == inside
@@ -205,18 +206,31 @@ def test_lattice_built_once_per_table():
 
 def test_contraction_steps_counted_and_guarded(monkeypatch):
     # Ten vectors in general position in R^2: each atom is one contraction
-    # of the zero flat, which steps the other nine classes; the top flat is
-    # one class of an atom and costs no step.
+    # of the zero flat, which steps the other nine classes, each charged its
+    # width 2 plus 12; the top flat is one class of an atom and costs no step.
     vs = VectorSet(tuple((1, k) for k in range(10)), 2)
     table = FlatTable(vs)
     table.close()
-    assert table.contraction_steps == 10 * 9
+    assert table.contraction_steps == 10 * 9 * (2 + 12)
     e4 = FlatTable(generate_sign_vectors(4))
     e4.close()
-    assert e4.contraction_steps == 4558
-    monkeypatch.setattr(flagbound.arrangement, "MAX_CONTRACTION_STEPS", 89)
+    assert e4.contraction_steps == 70028
+    monkeypatch.setattr(flagbound.arrangement, "MAX_CONTRACTION_STEPS", 10 * 9 * 14 - 1)
     with pytest.raises(GuardError):
         FlatTable(vs).close()
+
+
+def test_pending_images_counted_in_entries():
+    # The coordinate vectors of R^12: the zero flat holds 12 images of
+    # width 12; an atom's 11 images have width 11.
+    d = 12
+    vs = VectorSet(tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), d)
+    table = FlatTable(vs)
+    assert table.pending_images == 12 * 12
+    table.covers(table.zero_fid)
+    assert table.pending_images == 12 * 11 * 11
+    table.close()
+    assert table.pending_images == 0
 
 
 def test_flat_table_interning(sign_tables):

@@ -161,6 +161,20 @@ def test_homology_explicit_degree(capsys):
     assert json.loads(out)["degree"] == 0
 
 
+def test_homology_default_degree_minus_one(capsys, tmp_path):
+    # One vector in R^1: the default degree d - 2 is -1, where the reduced
+    # complex holds only the empty simplex, so the rank is 1, equal to λ.
+    path = tmp_path / "one.txt"
+    write_vector_set(str(path), VectorSet(((1,),), 1))
+    code, out, err = run(capsys, ["homology", "--input", str(path), "--format", "json"])
+    assert code == 0
+    assert err == ""
+    assert json.loads(out) == {"input": str(path), "degree": -1, "field": "2", "rank": "1"}
+    code, out, _ = run(capsys, ["lambda", "--input", str(path)])
+    assert code == 0
+    assert "identity: 1" in out.splitlines()
+
+
 def test_homology_n5_top_degree(capsys):
     code, out, err = run(capsys, ["homology", "--n", "5", "--field", "3"])
     assert code == 0

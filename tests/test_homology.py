@@ -92,7 +92,7 @@ def test_field_validation():
         with pytest.raises(ValueError):
             homology_rank(H, 1, fld=bad)
     with pytest.raises(ValueError):
-        homology_rank(H, -1)
+        homology_rank(H, -2)
 
 
 def _assert_mobius_via_homology(H, table):
