@@ -35,7 +35,9 @@ SCHLAFLI_MAX_N = 62
 # by tracemalloc after close(), a flat costs about 375 B at T = 32 (E_5) and
 # 370 B at T = 64 (64 integer vectors in R^4).  A flat whose covers are not
 # built yet also holds its images, and on the sign-vector sets that guard
-# (MAX_PENDING_IMAGES) stops first.
+# (MAX_PENDING_IMAGES) stops first.  A mask of T bits needs no charge here:
+# a table gets past its atoms only if their T(T - 1)(d + 12) contraction
+# steps fit under MAX_CONTRACTION_STEPS, so T < 3,800 and a mask < 480 B.
 MAX_FLATS = 600_000
 # Guard on the fraction-free contraction steps of one table: each new cover
 # steps every other class of its parent, so T vectors in general position in
@@ -45,20 +47,23 @@ MAX_FLATS = 600_000
 # step is charged w + 12: E_5 is charged 2,562,412, and 8,000 vectors (1, k)
 # in R^2 stop here after 38 s, 1,000 vectors (1, k, k^2) in R^3 after 37 s.
 MAX_CONTRACTION_STEPS = 2 * 10**8
-# Guard on the image entries held by the flats whose covers are not built
-# yet, d - k per image of a k-dimensional flat, checked as each flat is
-# added.  By tracemalloc an entry takes 9 B at width 98 (the coordinates of
-# R^100), 41 B on E_6 and 62 B at width 2 (1,000 vectors (1, k, k^2) in R^3):
-# 0.1 to 0.6 GB at the limit.  E_5 peaks at 114,018.  `chambers --n 6` stops
-# here after 17 s at 501 MB peak RSS, `--n 7` after 5.5 s at 271 MB, the
-# coordinates of R^100 or R^200 after 1.8 s at about 100 MB (2 CPUs).
+# Guard on what the flats whose covers are not built yet hold, checked as
+# each flat is added: an image of a k-dimensional flat is charged its d - k
+# entries plus T // 64 for its member bits, up to T bits.  By tracemalloc an
+# entry takes 9 B at width 98 (the coordinates of R^100), 41 B on E_6 and
+# 62 B at width 2 (1,000 vectors (1, k, k^2) in R^3): 0.1 to 0.6 GB at the
+# limit.  The atoms' member bits take about T^2/16 bytes (4.5 B a unit for
+# 16,384 vectors in R^3), so they are charged before they are built.  E_5
+# peaks at 114,018.  `chambers --n 6` stops here after 9 s at 358 MB peak
+# RSS, `--n 7` after 3.4 s at 201 MB, `--n 17` to `--n 20` at the atoms, the
+# coordinates of R^100 or R^200 after 1.4 s at about 100 MB (2 CPUs).
 MAX_PENDING_IMAGES = 10**7
-# Guard on the vectors restricted by one deletion-restriction count, charged
-# m(m - 1)/2 per uncached set of m normals before its loop runs.  A step took
-# 3.2-3.7 µs on 1,500 and 2,000 vectors (1, k) in R^2 (2 CPUs): about 35 s
-# at the limit.  E_6 takes 991,004 steps (3.4-3.9 s); E_7 stops here after
-# 33 s at 122 MB.  Depth D costs about D^3/6 steps, so it stays below 400.
-MAX_DR_STEPS = 10**7
+# Guard on the restriction steps of one deletion-restriction count, charged
+# in MAX_CONTRACTION_STEPS's unit: m(m - 1)/2 steps at w + 12 per uncached
+# set of m normals in R^w, before its loop.  DR ran 6-9 million units a
+# second (2 CPUs): E_6 is charged 15,818,527 (1.9 s); the coordinate vectors
+# of R^100 stop here after 22-27 s at 88 MB, E_7 after 25-32 s at 140-160 MB.
+MAX_DR_STEPS = 2 * 10**8
 
 
 @dataclass(frozen=True)
@@ -136,6 +141,25 @@ def schlafli_bound(n: int) -> int:
     return 2 * sum(math.comb(m, i) for i in range(n + 1))
 
 
+def _restrict(h: Vector, ys: dict[Vector, int]) -> dict[Vector, int]:
+    """Primitive images in R^w / span(h) of the vectors ys other than h, each
+    mapped to the union of the bits of the ys it comes from: one fraction-free
+    step on h's first nonzero coordinate c, then c dropped."""
+    c = next(k for k, x in enumerate(h) if x)
+    a = h[c]
+    out: dict[Vector, int] = {}
+    for y, bits in ys.items():
+        if y is h:
+            continue
+        b = y[c]
+        z = [a * u - b * v for u, v in zip(y, h)]
+        del z[c]
+        z = primitive(z)
+        prev = out.get(z)  # an unmerged vector's bits are shared, not copied
+        out[z] = bits if prev is None else prev | bits
+    return out
+
+
 class FlatTable:
     """Interning table for the flats (distinct spans of subsets) of a VectorSet.
 
@@ -171,18 +195,26 @@ class FlatTable:
         self._flag_sums: tuple | None = None
         # Fraction-free steps so far, charged as MAX_CONTRACTION_STEPS says.
         self.contraction_steps = 0
-        # A VectorSet has no parallel pair, so each atom is its own class.
-        atoms = {primitive(w): 1 << i for i, w in enumerate(vs.vectors)}
-        self.zero_fid = self._add(0, (), atoms)
+        # A VectorSet has no parallel pair, so each atom is its own class,
+        # charged before it is built (MAX_PENDING_IMAGES).
+        self.zero_fid = self._add(0, (), {})
+        self._charge_images(len(vs), 0)
+        self._classes[self.zero_fid] = {primitive(w): 1 << i for i, w in enumerate(vs.vectors)}
+
+    def _charge_images(self, count: int, dim: int) -> None:
+        """Charge `count` images of a flat of dimension `dim`, or release
+        them if count < 0, as MAX_PENDING_IMAGES says."""
+        d, t = self.vs.ambient_dim, len(self.vs)
+        pending = self.pending_images + count * (d - dim + t // 64)
+        if pending > MAX_PENDING_IMAGES:
+            raise GuardError("arrangement.pending_images", f"<= {MAX_PENDING_IMAGES}", pending)
+        self.pending_images = pending
 
     def _add(self, mask: int, rows: tuple[Vector, ...], classes: dict[Vector, int]) -> int:
         fid = len(self.masks)
         if fid >= MAX_FLATS:
             raise GuardError("arrangement.flats", f"<= {MAX_FLATS}", fid + 1)
-        pending = self.pending_images + len(classes) * (self.vs.ambient_dim - len(rows))
-        if pending > MAX_PENDING_IMAGES:
-            raise GuardError("arrangement.pending_images", f"<= {MAX_PENDING_IMAGES}", pending)
-        self.pending_images = pending
+        self._charge_images(len(classes), len(rows))
         self._ids[mask] = fid
         self.rows.append(rows)
         self.masks.append(mask)
@@ -192,32 +224,17 @@ class FlatTable:
         return fid
 
     def _contract(self, fid: int, image: Vector, bits: int, classes: dict[Vector, int]) -> int:
-        """Add the cover of flat fid spanned with the class `bits`, whose
-        image in R^d / F is `image`.  The other classes' images pass to
-        R^d / (F + image) by one fraction-free step on a coordinate c where
-        image is nonzero, c then dropped; the c with the least |image[c]|
-        keeps the entries small."""
+        """Add the cover of flat fid spanned with the class `bits`, whose image
+        in R^d / F is `image`, holding the other classes restricted to it."""
         steps = self.contraction_steps + (len(classes) - 1) * (len(image) + 12)
         if steps > MAX_CONTRACTION_STEPS:
             raise GuardError(
                 "arrangement.contraction_steps", f"<= {MAX_CONTRACTION_STEPS}", steps
             )
         self.contraction_steps = steps
-        c = min((k for k, x in enumerate(image) if x), key=lambda k: abs(image[k]))
-        a = image[c]
-        sub: dict[Vector, int] = {}
-        for y, ybits in classes.items():
-            if y is image:
-                continue
-            b = y[c]
-            z = [a * u - b * v for u, v in zip(y, image)]
-            del z[c]
-            z = primitive(z)
-            prev = sub.get(z)  # an unmerged class shares its parent's bits
-            sub[z] = ybits if prev is None else prev | ybits
         i = (bits & -bits).bit_length() - 1
         rows = self.rows[fid] + (self.vs.vectors[i],)
-        return self._add(self.masks[fid] | bits, rows, sub)
+        return self._add(self.masks[fid] | bits, rows, _restrict(image, classes))
 
     def covers(self, fid: int) -> list[int]:
         """Ids of the flats one dimension up reachable by adjoining a vector."""
@@ -225,7 +242,7 @@ class FlatTable:
         while len(built) <= fid:
             f = len(built)
             classes = self._classes.pop(f)
-            self.pending_images -= len(classes) * (self.vs.ambient_dim - self.dims[f])
+            self._charge_images(-len(classes), self.dims[f])
             mask = self.masks[f]
             out = []
             for image, bits in classes.items():
@@ -331,27 +348,20 @@ def _dr_regions(normals: frozenset[Vector], dim: int, memo: dict, steps: list[in
     """Regions cut from R^dim by distinct primitive `normals`.  Deleting the
     sorted normals h_m, .., h_1 in turn gives r = 1 + sum_j r(restriction of
     {h_i : i < j} to h_j), so only the restrictions recurse, each one
-    dimension down.  steps[0] counts the vectors restricted so far."""
+    dimension down.  steps[0] is the charge so far, as MAX_DR_STEPS says."""
     key = (dim, normals)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    hs = sorted(normals)
-    total = steps[0] + len(hs) * (len(hs) - 1) // 2
+    total = steps[0] + len(normals) * (len(normals) - 1) // 2 * (dim + 12)
     if total > MAX_DR_STEPS:
         raise GuardError("arrangement.dr_steps", f"<= {MAX_DR_STEPS}", total)
     steps[0] = total
     out = 1
-    for j, h in enumerate(hs):
-        # One fraction-free step on h's first nonzero coordinate c, c dropped.
-        c = next(k for k, x in enumerate(h) if x)
-        a = h[c]
-        induced = set()
-        for w in hs[:j]:
-            u = [a * x - w[c] * y for x, y in zip(w, h)]
-            del u[c]
-            induced.add(primitive(u))
-        out += _dr_regions(frozenset(induced), dim - 1, memo, steps)
+    lower: dict[Vector, int] = {}  # {h_i : i < j}; the bits go unused
+    for h in sorted(normals):
+        out += _dr_regions(frozenset(_restrict(h, lower)), dim - 1, memo, steps)
+        lower[h] = 0
     memo[key] = out
     return out
 

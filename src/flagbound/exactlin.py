@@ -152,6 +152,8 @@ def span(
     rows: tuple[Vector, ...] = ()
     for v in vectors:
         rows = _insert(rows, _as_vector(v))
+        if len(rows) == d:  # the whole space: its RREF is the identity
+            break
     return SubspaceBasis(d, rows)
 
 

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 ADMISSIBLE_ORDERS_MAX_T = 8
+RANDOM_WEIGHT_MAX_DENOMINATOR = 100
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,13 @@ class WeightVector:
         return cls((Fraction(1, count),) * count)
 
     @classmethod
-    def random(cls, count: int, seed: int, max_denominator: int = 100) -> "WeightVector":
+    def random(cls, count: int, seed: int) -> "WeightVector":
         """count - 1 entries uniform in [-2, 2] with bounded denominator;
         the last entry makes the total exactly 1."""
         rng = random.Random(seed)
         head = []
         for _ in range(count - 1):
-            den = rng.randint(1, max_denominator)
+            den = rng.randint(1, RANDOM_WEIGHT_MAX_DENOMINATOR)
             head.append(Fraction(rng.randint(-2 * den, 2 * den), den))
         return cls(tuple(head) + (1 - sum(head, Fraction(0)),))
 

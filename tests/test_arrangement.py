@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from collections import Counter
 
@@ -10,6 +11,7 @@ from flagbound.arrangement import (
     IntersectionLattice,
     VectorSet,
     _dr_regions,
+    _restrict,
     build_lattice,
     chamber_count,
     chamber_count_dr,
@@ -19,7 +21,7 @@ from flagbound.arrangement import (
     write_vector_set,
 )
 from flagbound.errors import GuardError
-from flagbound.exactlin import span
+from flagbound.exactlin import rank, span
 
 from conftest import random_spanning_set
 
@@ -231,6 +233,58 @@ def test_pending_images_counted_in_entries():
     assert table.pending_images == 12 * 11 * 11
     table.close()
     assert table.pending_images == 0
+
+
+def test_atoms_charged_before_they_are_built(monkeypatch):
+    # 130 vectors (1, k) in R^2: each of the zero flat's 130 images is
+    # charged its width 2 plus 130 // 64 = 2 for its member bits.
+    vs = VectorSet(tuple((1, k) for k in range(130)), 2)
+    assert FlatTable(vs).pending_images == 130 * (2 + 2)
+    monkeypatch.setattr(flagbound.arrangement, "MAX_PENDING_IMAGES", 130 * 4 - 1)
+
+    def build(v):
+        raise AssertionError("an atom was built before the guard")
+
+    monkeypatch.setattr(flagbound.arrangement, "primitive", build)
+    with pytest.raises(GuardError):
+        FlatTable(vs)
+
+
+def test_restriction_step_against_rref():
+    # The images in R^w / span(h), checked against exactlin's RREF rank,
+    # which shares no code with the step: y1 and y2 share an image iff
+    # rank{h, y1, y2} = 2.  Each y is s h + t g for g from a pool of three,
+    # so many of them share one.
+    rng = random.Random(13)
+
+    def draw(w):
+        v = ()
+        while not any(v):
+            v = tuple(rng.randint(-4, 4) for _ in range(w))
+        return v
+
+    for _ in range(40):
+        w = rng.randint(2, 5)
+        h = draw(w)
+        pool = [draw(w) for _ in range(3)]
+        ys = {h: 1}
+        for _ in range(12):
+            s, t, g = rng.randint(-3, 3), rng.choice((-2, -1, 1, 3)), rng.choice(pool)
+            y = tuple(s * a + t * b for a, b in zip(h, g))
+            if rank([h, y]) == 2:
+                ys.setdefault(y, 1 << len(ys))
+        images = _restrict(h, ys)
+        owner = {}
+        for z, bits in images.items():
+            assert len(z) == w - 1 and math.gcd(*z) == 1
+            for y, bit in ys.items():
+                if bits & bit:
+                    owner[y] = z
+        assert h not in owner
+        assert sorted(owner) == sorted(y for y in ys if y is not h)
+        for y1 in owner:
+            for y2 in owner:
+                assert (owner[y1] == owner[y2]) == (rank([h, y1, y2]) == 2)
 
 
 def test_flat_table_interning(sign_tables):

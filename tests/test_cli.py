@@ -244,12 +244,13 @@ def test_contraction_guard_exit_code(capsys, monkeypatch, tmp_path):
 
 
 def test_dr_steps_guard_exit_code(capsys, monkeypatch):
-    # deletion-restriction on E_4 restricts exactly 1,224 vectors
-    monkeypatch.setattr(flagbound.arrangement, "MAX_DR_STEPS", 1224)
+    # deletion-restriction on E_4 is charged exactly 19,066: 1,224 restricted
+    # vectors, each at its width w plus 12
+    monkeypatch.setattr(flagbound.arrangement, "MAX_DR_STEPS", 19066)
     code, out, err = run(capsys, ["chambers", "--n", "4", "--oracle"])
     assert code == 0
     assert "agree: True" in out.splitlines()
-    monkeypatch.setattr(flagbound.arrangement, "MAX_DR_STEPS", 1223)
+    monkeypatch.setattr(flagbound.arrangement, "MAX_DR_STEPS", 19065)
     code, out, err = run(capsys, ["chambers", "--n", "4", "--oracle"])
     assert code == 2
     assert out == ""

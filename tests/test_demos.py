@@ -52,6 +52,19 @@ def test_demo_runs(name):
     assert proc.stdout
 
 
+def test_bench_selftest_passes():
+    # The benchmark reads the flat table and the homology slice; its own
+    # self-test is the one place that runs that code.
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "selftest.py")],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_imports_resolve(name):
     assert_resolves(flagbound_imports((ROOT / "demos" / f"{name}.py").read_text("utf-8")))

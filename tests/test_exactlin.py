@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import flagbound.exactlin
 from flagbound.exactlin import (
     SubspaceBasis,
     contains,
@@ -68,6 +69,21 @@ def test_rank_examples():
     assert rank([(1, 1), (1, -1)]) == 2
     assert rank([(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]) == 3
     assert rank([(1, 1), (-1, -1)]) == 1
+
+
+def test_span_stops_at_full_rank(monkeypatch):
+    # Once d rows are held the span is the whole space, so the vectors after
+    # them are not reduced.
+    calls = []
+    insert = flagbound.exactlin._insert
+    monkeypatch.setattr(
+        flagbound.exactlin, "_insert", lambda rows, v: calls.append(v) or insert(rows, v)
+    )
+    vecs = [(1, 1, 0), (2, 2, 0), (0, 1, 0), (0, 3, 5)] + [(k, 1, 2) for k in range(50)]
+    assert span(vecs).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert len(calls) == 4
+    assert rank(vecs) == 3
+    assert len(calls) == 8
 
 
 def test_dimension_mismatch_errors():
