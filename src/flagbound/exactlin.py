@@ -59,40 +59,43 @@ def _pivot_col(row: Vector) -> int:
     raise ValueError("zero row has no pivot")
 
 
-def _reduce(rows: Sequence[Vector], v: Sequence[int]) -> list[int]:
-    """Reduce v against echelon rows by fraction-free elimination.
+def _reduce(rows: Sequence[tuple[int, Vector]], v: Sequence[int]) -> list[int]:
+    """Reduce v against echelon rows, given as (pivot column, row) pairs,
+    by fraction-free elimination.
 
     Returns an integer vector; it is zero iff v lies in the row span.
     """
     w = list(v)
-    for row in rows:
-        c = _pivot_col(row)
-        if w[c]:
+    for c, row in rows:
+        wc = w[c]
+        if wc:
             p = row[c]
-            wc = w[c]
             w = [p * a - wc * b for a, b in zip(w, row)]
     return w
 
 
-def _insert(rows: tuple[Vector, ...], v: Sequence[int]) -> tuple[Vector, ...]:
-    """Absorb v into an RREF row set; the rows come back unchanged when v
-    already lies in their span."""
+def _insert(
+    rows: list[tuple[int, Vector]], v: Sequence[int]
+) -> list[tuple[int, Vector]]:
+    """Absorb v into an RREF row set of (pivot column, row) pairs; the
+    rows come back unchanged when v already lies in their span."""
     w = _reduce(rows, v)
     if not any(w):
         return rows
     new = primitive(w)
     c = _pivot_col(new)
-    # Clear the new pivot column in the existing rows to restore full RREF.
+    # Clear the new pivot column in the existing rows to restore full RREF;
+    # a row with a nonzero there has its pivot left of c, so it keeps it.
     fixed = []
-    for row in rows:
+    for pivot, row in rows:
         if row[c]:
             p = new[c]
             rc = row[c]
             row = primitive(tuple(p * a - rc * b for a, b in zip(row, new)))
-        fixed.append(row)
-    fixed.append(new)
-    fixed.sort(key=_pivot_col)
-    return tuple(fixed)
+        fixed.append((pivot, row))
+    fixed.append((c, new))
+    fixed.sort()
+    return fixed
 
 
 @dataclass(frozen=True)
@@ -149,12 +152,12 @@ def span(
     d = _common_dim(vectors, ambient_dim)
     if d < 1:
         raise ValueError(f"ambient dimension must be >= 1, got {d}")
-    rows: tuple[Vector, ...] = ()
+    rows: list[tuple[int, Vector]] = []
     for v in vectors:
         rows = _insert(rows, _as_vector(v))
         if len(rows) == d:  # the whole space: its RREF is the identity
             break
-    return SubspaceBasis(d, rows)
+    return SubspaceBasis(d, tuple(row for _, row in rows))
 
 
 def contains(s: SubspaceBasis, v: Sequence[int]) -> bool:
@@ -163,7 +166,8 @@ def contains(s: SubspaceBasis, v: Sequence[int]) -> bool:
         raise ValueError(
             f"vector of length {len(v)} against ambient dimension {s.ambient_dim}"
         )
-    return not any(_reduce(s.rows, _as_vector(v)))
+    rows = [(_pivot_col(row), row) for row in s.rows]
+    return not any(_reduce(rows, _as_vector(v)))
 
 
 def rank(vectors: Sequence[Sequence[int]], ambient_dim: int | None = None) -> int:

@@ -5,6 +5,9 @@ nonnegative exactly on its true points.  Feasibility of that sign pattern
 is decided exactly, so the census is an oracle completely independent of
 the lattice and flag machinery it is reconciled against.  The census is an
 exhaustive search over the truth-table prefix tree, pruned by that test.
+Most children are decided without a solve, by an integer witness that the
+prefix carries or by the infeasible core of an earlier solve: 2,110 solves
+for the 11,030 children at n = 4.
 """
 
 from __future__ import annotations
@@ -74,20 +77,27 @@ def _normalized(a: tuple[int, ...], b: int) -> tuple[tuple[int, ...], int]:
     return a, b
 
 
-def _feasible(rows: Iterable[tuple[tuple[int, ...], int]], nvars: int) -> bool:
+def _feasible(rows: Iterable[tuple[tuple[int, ...], int]], nvars: int) -> int:
     """Exact satisfiability of {sum a_j x_j >= b} over the rationals by
     variable elimination; positive cross-multipliers keep every step an
-    equivalence, so the answer is exact."""
+    equivalence, so the answer is exact.
+
+    Returns 0 when the system is feasible.  Otherwise returns the core: the
+    bitmask of the row positions whose nonnegative combination is the
+    contradiction 0 >= b > 0 found, so those rows alone are infeasible.
+    """
     system: dict[tuple[int, ...], int] = {}
-    for a, b in rows:
+    cores: dict[tuple[int, ...], int] = {}
+    for i, (a, b) in enumerate(rows):
         a, b = _normalized(a, b)
         if not any(a):
             if b > 0:
-                return False
+                return 1 << i
             continue
         prev = system.get(a)
         if prev is None or b > prev:
             system[a] = b
+            cores[a] = 1 << i
     while system:
         counts = [[0, 0] for _ in range(nvars)]
         for a in system:
@@ -98,7 +108,7 @@ def _feasible(rows: Iterable[tuple[tuple[int, ...], int]], nvars: int) -> bool:
                     counts[j][1] += 1
         active = [j for j in range(nvars) if counts[j][0] or counts[j][1]]
         if not active:
-            return True
+            return 0
         j = min(active, key=lambda k: counts[k][0] * counts[k][1])
         pos = []
         neg = []
@@ -110,7 +120,11 @@ def _feasible(rows: Iterable[tuple[tuple[int, ...], int]], nvars: int) -> bool:
                 neg.append((a, b))
             else:
                 keep[a] = b
+        # cores[a] is the OR of the cores of the rows a was derived from; a
+        # derived row is 0 in every eliminated column, so it never meets the
+        # key of an eliminated row and `cores` needs no reset.
         for ap, bp in pos:
+            cp = cores[ap]
             for an, bn in neg:
                 mp = -an[j]
                 mn = ap[j]
@@ -119,13 +133,14 @@ def _feasible(rows: Iterable[tuple[tuple[int, ...], int]], nvars: int) -> bool:
                 a, b = _normalized(a, b)
                 if not any(a):
                     if b > 0:
-                        return False
+                        return cp | cores[an]
                     continue
                 prev = keep.get(a)
                 if prev is None or b > prev:
                     keep[a] = b
+                    cores[a] = cp | cores[an]
         system = keep
-    return True
+    return 0
 
 
 @lru_cache(maxsize=None)
@@ -150,7 +165,25 @@ def is_threshold(f: BooleanFunction) -> bool:
     if f.n > SINGLE_CALL_MAX_N:
         raise GuardError("is_threshold.n", f"n <= {SINGLE_CALL_MAX_N}", f.n)
     rows = [_margin_row(v, bit) for v, bit in zip(_input_vectors(f.n), f.truth)]
-    return _feasible(rows, f.n + 1)
+    return not _feasible(rows, f.n + 1)
+
+
+def _separate(
+    rows: list[tuple[tuple[int, ...], int]], y: tuple[int, ...]
+) -> tuple[int, ...]:
+    """Perceptron steps from y (y += u on any row u with u.y <= 0) until
+    u.y > 0 for every margin row (u, b).  Called only on rows `_feasible`
+    has proved feasible: every input has first coordinate 1, so a margin
+    solution plus half the first unit vector is a strict one, and
+    Novikoff's bound makes the loop finite from any start."""
+    moved = True
+    while moved:
+        moved = False
+        for u, _ in rows:
+            if sum(x * z for x, z in zip(u, y)) <= 0:
+                y = tuple(x + z for x, z in zip(y, u))
+                moved = True
+    return y
 
 
 def _threshold_codes(n: int) -> Iterator[int]:
@@ -158,20 +191,44 @@ def _threshold_codes(n: int) -> Iterator[int]:
     `BooleanFunction.from_int`), depth first over the prefix tree of the
     inputs in `_input_vectors` order.  A child prefix is entered only when
     its rows are feasible; every extension of an infeasible system is
-    infeasible, so the pruning is exact."""
-    vectors = _input_vectors(n)
+    infeasible, so the pruning is exact.
 
-    def walk(rows: list, code: int) -> Iterator[int]:
+    Each prefix carries an integer witness y with u.y > 0 for each of its
+    margin rows (u, b), so y meets the rows themselves.  A child is decided
+    by the first of three rules, each resting on a proof:
+    - witness: when u.y > 0 for the child's new row, y is its witness;
+    - core: when the child agrees with an earlier infeasible child of the
+      same depth on that child's core rows, those rows alone are infeasible;
+    - kernel: otherwise `_feasible` decides; the core of an infeasible
+      child is stored, and `_separate` moves y onto a feasible child's rows.
+    """
+    vectors = _input_vectors(n)
+    # per depth, (core, code & core) of each infeasible child found there;
+    # a core holds its child's own row, as the parent is feasible, so a
+    # deeper prefix can match it only below a prefix that matched first
+    cores: list[list[tuple[int, int]]] = [[] for _ in vectors]
+
+    def walk(rows: list, code: int, y: tuple[int, ...]) -> Iterator[int]:
         k = len(rows)
         if k == len(vectors):
             yield code
             return
+        vy = sum(x * z for x, z in zip(vectors[k], y))
         for bit in (0, 1):
-            child = rows + [_margin_row(vectors[k], bit)]
-            if _feasible(child, n + 1):
-                yield from walk(child, code | bit << k)
+            child = code | bit << k
+            child_rows = rows + [_margin_row(vectors[k], bit)]
+            if (vy > 0) if bit else (vy < 0):
+                yield from walk(child_rows, child, y)
+            elif not any((child ^ c) & core == 0 for core, c in cores[k]):
+                core = _feasible(child_rows, n + 1)
+                if core:
+                    cores[k].append((core, child & core))
+                else:
+                    yield from walk(child_rows, child, _separate(child_rows, y))
 
-    return walk([], 0)
+    # any y witnesses the empty prefix; the first unit vector has v.y = 1 on
+    # every input, so it ties with none of them
+    return walk([], 0, (1,) + (0,) * n)
 
 
 def count_threshold_functions(n: int) -> int:

@@ -268,9 +268,11 @@ def test_random_weights_guard_exit_code(capsys):
 
 
 def test_count_threshold(capsys):
-    code, out, _ = run(capsys, ["count-threshold", "--n", "2", "--format", "json"])
-    assert code == 0
-    assert json.loads(out) == {"n": 2, "count": "14"}
+    for n, count in ((2, "14"), (4, "1882")):
+        code, out, _ = run(
+            capsys, ["count-threshold", "--n", str(n), "--format", "json"])
+        assert code == 0
+        assert json.loads(out) == {"n": n, "count": count}
 
 
 def test_verify_full_n1(capsys):

@@ -4,10 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import flagbound.threshold
 from flagbound.errors import GuardError
 from flagbound.threshold import (
     BooleanFunction,
+    _feasible,
     _input_vectors,
+    _margin_row,
     _threshold_codes,
     bounds_report,
     count_threshold_functions,
@@ -46,6 +49,53 @@ def test_pruned_codes_match_exhaustive_loop():
         exhaustive = {c for c in range(1 << (1 << n))
                       if is_threshold(BooleanFunction.from_int(n, c))}
         assert set(_threshold_codes(n)) == exhaustive
+
+
+def test_feasible_returns_core():
+    xor = BooleanFunction(2, (0, 1, 1, 0))
+    rows = [_margin_row(v, bit) for v, bit in zip(_input_vectors(2), xor.truth)]
+    assert _feasible(rows, 3) == 0b1111
+    assert _feasible(rows[:3], 3) == 0
+
+
+def test_stored_cores_are_infeasible_alone(monkeypatch):
+    for n in (1, 2, 3):
+        cores = []
+
+        def recorded(rows, nvars):
+            core = _feasible(rows, nvars)
+            if core:
+                cores.append((rows, core))
+            return core
+
+        monkeypatch.setattr(flagbound.threshold, "_feasible", recorded)
+        count = sum(1 for _ in _threshold_codes(n))
+        assert count == (4, 14, 104)[n - 1]
+        if n > 1:
+            assert cores
+        for rows, core in cores:
+            alone = [row for i, row in enumerate(rows) if core >> i & 1]
+            assert _feasible(alone, n + 1)
+
+
+def test_witnesses_satisfy_their_prefix(monkeypatch):
+    # the walk hands `_separate` the parent's witness with the child's rows
+    separate = flagbound.threshold._separate
+    calls = [0]
+
+    def checked(rows, y):
+        assert all(sum(x * z for x, z in zip(u, y)) > 0 for u, _ in rows[:-1])
+        out = separate(rows, y)
+        assert all(type(z) is int for z in out)
+        assert all(sum(x * z for x, z in zip(u, out)) > 0 for u, _ in rows)
+        assert all(sum(x * z for x, z in zip(u, out)) >= b for u, b in rows)
+        calls[0] += 1
+        return out
+
+    monkeypatch.setattr(flagbound.threshold, "_separate", checked)
+    for n in (1, 2, 3):
+        assert sum(1 for _ in _threshold_codes(n)) == (4, 14, 104)[n - 1]
+    assert calls[0] > 0
 
 
 def test_negation_closure():
