@@ -5,9 +5,11 @@ nonnegative exactly on its true points.  Feasibility of that sign pattern
 is decided exactly, so the census is an oracle completely independent of
 the lattice and flag machinery it is reconciled against.  The census is an
 exhaustive search over the truth-table prefix tree, pruned by that test.
-Most children are decided without a solve, by an integer witness that the
-prefix carries or by the infeasible core of an earlier solve: 2,110 solves
-for the 11,030 children at n = 4.
+Only the half with the first input true is walked, as negation maps it onto
+the other.  Most children are decided without a solve, by an integer
+witness that the prefix carries or by the infeasible core of an earlier
+solve; the rest are solved on the new row's hyperplane, one variable down:
+1,115 solves for the 5,515 children at n = 4.
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ __all__ = [
 SINGLE_CALL_MAX_N = 10
 CENSUS_MAX_N = 4
 REPORT_MAX_N = 5
+# Guard on the Fourier-Motzkin pairs of one `_feasible` call, charged as
+# sum |pos| * |neg| before each elimination forms its pairs.  FM formed about
+# 300,000 pairs a second (2 CPUs), so a call stops within about 3.5 s.  The
+# largest solve charges 23 in the n = 4 census, 448 in the n = 5 census and
+# 3,010 for the 5-variable majority function; the 6-variable one is charged
+# 7,774,511 by one elimination and stops here after 0.5 s.
+MAX_FM_PAIRS = 10**6
 
 
 @dataclass(frozen=True)
@@ -85,6 +94,7 @@ def _feasible(rows: Iterable[tuple[tuple[int, ...], int]], nvars: int) -> int:
     Returns 0 when the system is feasible.  Otherwise returns the core: the
     bitmask of the row positions whose nonnegative combination is the
     contradiction 0 >= b > 0 found, so those rows alone are infeasible.
+    Raises GuardError past MAX_FM_PAIRS.
     """
     system: dict[tuple[int, ...], int] = {}
     cores: dict[tuple[int, ...], int] = {}
@@ -98,6 +108,7 @@ def _feasible(rows: Iterable[tuple[tuple[int, ...], int]], nvars: int) -> int:
         if prev is None or b > prev:
             system[a] = b
             cores[a] = 1 << i
+    pairs = 0
     while system:
         counts = [[0, 0] for _ in range(nvars)]
         for a in system:
@@ -110,6 +121,9 @@ def _feasible(rows: Iterable[tuple[tuple[int, ...], int]], nvars: int) -> int:
         if not active:
             return 0
         j = min(active, key=lambda k: counts[k][0] * counts[k][1])
+        pairs += counts[j][0] * counts[j][1]
+        if pairs > MAX_FM_PAIRS:
+            raise GuardError("threshold.fm_pairs", f"<= {MAX_FM_PAIRS}", pairs)
         pos = []
         neg = []
         keep: dict[tuple[int, ...], int] = {}
@@ -172,10 +186,11 @@ def _separate(
     rows: list[tuple[tuple[int, ...], int]], y: tuple[int, ...]
 ) -> tuple[int, ...]:
     """Perceptron steps from y (y += u on any row u with u.y <= 0) until
-    u.y > 0 for every margin row (u, b).  Called only on rows `_feasible`
-    has proved feasible: every input has first coordinate 1, so a margin
-    solution plus half the first unit vector is a strict one, and
-    Novikoff's bound makes the loop finite from any start."""
+    u.y > 0 for every margin row (u, b).  Called only on feasible rows:
+    after `_child_core` proves them so, or after a tie, where y meets them
+    already.  Every input has first coordinate 1, so a margin solution plus
+    half the first unit vector is a strict one, and Novikoff's bound makes
+    the loop finite from any start."""
     moved = True
     while moved:
         moved = False
@@ -186,6 +201,22 @@ def _separate(
     return y
 
 
+def _child_core(
+    rows: list[tuple[tuple[int, ...], int]], row: tuple[tuple[int, ...], int]
+) -> int:
+    """The core of rows + [row] (0 when feasible), decided on the hyperplane
+    u.x = b of row (u, b), as `_threshold_codes`'s kernel rule says.  u_0 =
+    +-1, as every input has first coordinate 1, so x_0 = u_0 (b - sum_{j>=1}
+    u_j x_j) keeps the rows integer, one variable down."""
+    u, b = row
+    restricted = []
+    for a, c in rows:
+        m = a[0] * u[0]
+        restricted.append((tuple(x - m * w for x, w in zip(a[1:], u[1:])), c - m * b))
+    core = _feasible(restricted, len(u) - 1)
+    return core | 1 << len(rows) if core else 0
+
+
 def _threshold_codes(n: int) -> Iterator[int]:
     """Every threshold truth-table code (bit k = input k, as in
     `BooleanFunction.from_int`), depth first over the prefix tree of the
@@ -193,16 +224,29 @@ def _threshold_codes(n: int) -> Iterator[int]:
     its rows are feasible; every extension of an infeasible system is
     infeasible, so the pruning is exact.
 
+    Only the half of the tree with input 0 true is walked, and each leaf
+    yields its code and the complement: -y strictly separates not-f
+    whenever y strictly separates f.
+
     Each prefix carries an integer witness y with u.y > 0 for each of its
-    margin rows (u, b), so y meets the rows themselves.  A child is decided
-    by the first of three rules, each resting on a proof:
-    - witness: when u.y > 0 for the child's new row, y is its witness;
+    margin rows (u, b), so y meets the rows themselves.  A child with new
+    row (u, b) is decided by the first of four rules, each resting on a
+    proof:
+    - witness: when u.y > 0, y is the child's witness;
+    - tie: when the child's input is true and u.y = 0, y meets the child's
+      rows, and `_separate` moves it onto them strictly;
     - core: when the child agrees with an earlier infeasible child of the
       same depth on that child's core rows, those rows alone are infeasible;
-    - kernel: otherwise `_feasible` decides; the core of an infeasible
-      child is stored, and `_separate` moves y onto a feasible child's rows.
+    - kernel: otherwise u.y < b, and `_child_core` decides the child on
+      the hyperplane u.x = b: a segment from y to any child solution stays
+      in the parent's polyhedron and crosses it, so the child is feasible
+      exactly when the parent's rows meet it.  y meets every subset of the
+      parent's rows, so the same segment makes a core found there, plus the
+      child's own row, a core of the child; it is stored.  `_separate`
+      moves y onto a feasible child's rows.
     """
     vectors = _input_vectors(n)
+    full = (1 << len(vectors)) - 1
     # per depth, (core, code & core) of each infeasible child found there;
     # a core holds its child's own row, as the parent is feasible, so a
     # deeper prefix can match it only below a prefix that matched first
@@ -212,23 +256,26 @@ def _threshold_codes(n: int) -> Iterator[int]:
         k = len(rows)
         if k == len(vectors):
             yield code
+            yield full ^ code
             return
         vy = sum(x * z for x, z in zip(vectors[k], y))
         for bit in (0, 1):
             child = code | bit << k
-            child_rows = rows + [_margin_row(vectors[k], bit)]
-            if (vy > 0) if bit else (vy < 0):
-                yield from walk(child_rows, child, y)
+            row = _margin_row(vectors[k], bit)
+            child_rows = rows + [row]
+            if (vy >= 0) if bit else (vy < 0):
+                z = _separate(child_rows, y) if vy == 0 else y
+                yield from walk(child_rows, child, z)
             elif not any((child ^ c) & core == 0 for core, c in cores[k]):
-                core = _feasible(child_rows, n + 1)
+                core = _child_core(rows, row)
                 if core:
                     cores[k].append((core, child & core))
                 else:
                     yield from walk(child_rows, child, _separate(child_rows, y))
 
-    # any y witnesses the empty prefix; the first unit vector has v.y = 1 on
-    # every input, so it ties with none of them
-    return walk([], 0, (1,) + (0,) * n)
+    # the first unit vector has v.y = 1 on every input, so it witnesses
+    # input 0's true row: the root's true child needs no solve
+    return walk([_margin_row(vectors[0], 1)], 1, (1,) + (0,) * n)
 
 
 def count_threshold_functions(n: int) -> int:

@@ -62,9 +62,10 @@ def test_criterion_01_ground_truth_chain(sign_tables, monkeypatch):
     with criterion(1, "ground truth chain"):
         start = time.monotonic()
         expected = {1: 4, 2: 14, 3: 104, 4: 1882}
-        # FM calls of the pruned census, whose witnesses and stored cores
-        # decide the other children; the exhaustive loop makes 2^(2^n)
-        expected_calls = {1: 3, 2: 17, 3: 127, 4: 2110}
+        # FM calls of the pruned census over the half with input 0 true,
+        # each on its new row's hyperplane; witnesses, ties and stored cores
+        # decide the other children, and the exhaustive loop makes 2^(2^n)
+        expected_calls = {1: 1, 2: 7, 3: 69, 4: 1115}
         feasible = flagbound.threshold._feasible
         calls = [0]
 

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -59,23 +60,51 @@ def test_feasible_returns_core():
 
 
 def test_stored_cores_are_infeasible_alone(monkeypatch):
+    # the walk stores what `_child_core` returns; each core must be
+    # infeasible alone over the full n + 1 variables, and the hyperplane
+    # system must agree with the child's own rows
+    child_core = flagbound.threshold._child_core
     for n in (1, 2, 3):
-        cores = []
+        calls = []
 
-        def recorded(rows, nvars):
-            core = _feasible(rows, nvars)
-            if core:
-                cores.append((rows, core))
+        def recorded(rows, row):
+            core = child_core(rows, row)
+            calls.append((rows + [row], core))
             return core
 
-        monkeypatch.setattr(flagbound.threshold, "_feasible", recorded)
+        monkeypatch.setattr(flagbound.threshold, "_child_core", recorded)
         count = sum(1 for _ in _threshold_codes(n))
         assert count == (4, 14, 104)[n - 1]
+        assert calls
         if n > 1:
-            assert cores
-        for rows, core in cores:
-            alone = [row for i, row in enumerate(rows) if core >> i & 1]
-            assert _feasible(alone, n + 1)
+            assert any(core for _, core in calls)
+        for child_rows, core in calls:
+            assert bool(core) == bool(_feasible(child_rows, n + 1))
+            if core:
+                assert core >> (len(child_rows) - 1) & 1
+                alone = [row for i, row in enumerate(child_rows) if core >> i & 1]
+                assert _feasible(alone, n + 1)
+
+
+def test_negation_half_yields_each_code_once():
+    for n in (1, 2, 3, 4):
+        codes = list(_threshold_codes(n))
+        full = (1 << (1 << n)) - 1
+        assert len(codes) == len(set(codes))
+        assert {full ^ c for c in codes} == set(codes)
+        assert 2 * sum(c & 1 for c in codes) == len(codes)
+
+
+def test_fm_pair_guard_stops_majority_of_six():
+    # the 6-variable majority function: one elimination forms millions of
+    # pairs, so the guard stops the call before it forms them
+    n = 6
+    f = BooleanFunction(n, tuple(int(sum(v[1:]) >= 0) for v in _input_vectors(n)))
+    start = time.monotonic()
+    with pytest.raises(GuardError) as exc:
+        is_threshold(f)
+    assert exc.value.guard == "threshold.fm_pairs"
+    assert time.monotonic() - start < 30
 
 
 def test_witnesses_satisfy_their_prefix(monkeypatch):
