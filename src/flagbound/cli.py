@@ -198,7 +198,8 @@ def _verify_one(n: int, level: str) -> list[dict]:
 
     def homology_match():
         fields = ["2", "3", "Q"] if full else ["2"]
-        ranks = {f: homology.homology_rank(vs, n - 1, f, table) for f in fields}
+        sl = homology.build_complex_slice(vs, n - 1, table)
+        ranks = {f: homology.slice_rank(sl, f) for f in fields}
         ok = all(r == lam for r in ranks.values())
         return ok, f"ranks {ranks}, tuples {lam}"
 

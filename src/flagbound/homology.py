@@ -24,13 +24,15 @@ __all__ = [
     "build_complex_slice",
     "homology_rank",
     "mobius_via_homology",
+    "slice_rank",
 ]
 
 # Bound on the boundary nonzeros a slice may hold, counted as k per
 # k-subset of each pool before any layer is generated (a subset lying in
-# several lower covers counts once per cover).  A slice costs about 81
-# bytes per nonzero (the E_5 top slice: 3,106,880 nonzeros, 240 MB peak
-# under tracemalloc, Python 3.11), so a slice at the limit stays near 1 GB.
+# several lower covers counts once per cover).  A slice costs about 83
+# bytes per nonzero (the E_5 top slice: 3,106,880 nonzeros, 258 MB peak
+# under tracemalloc while it is built, Python 3.11), so a slice at the
+# limit stays near 1 GB.
 MAX_BOUNDARY_NONZEROS = 10**7
 # Bound on a prime field's order: _is_prime tests by trial division up to
 # sqrt(p): 4 ms at 2^31 - 1 (2 CPUs, Python 3.11), so about 2 minutes at
@@ -129,14 +131,17 @@ def _boundary_columns(
     faces: Sequence[tuple[int, ...]], simplices: Sequence[tuple[int, ...]]
 ) -> tuple[dict[int, int], ...]:
     """Signed incidence of each simplex with its one-smaller faces, as one
-    {face row: +-1} column per simplex."""
-    index = {f: r for r, f in enumerate(faces)}
+    {face row: +-1} column per simplex.  Faces are looked up by member
+    bitmask: dropping a vertex clears one bit."""
+    index = {sum(1 << i for i in f): r for r, f in enumerate(faces)}
     columns = []
     for s in simplices:
+        bits = [1 << i for i in s]
+        mask = sum(bits)
         col = {}
         sign = 1
-        for drop in range(len(s)):
-            row = index.get(s[:drop] + s[drop + 1 :])
+        for bit in bits:
+            row = index.get(mask ^ bit)
             if row is not None:
                 col[row] = sign
             sign = -sign
@@ -164,9 +169,9 @@ def build_complex_slice(H: VectorSet, m: int, table: FlatTable | None = None) ->
     return _slice(table, (1 << len(H)) - 1, H.ambient_dim, m)
 
 
-def _rank_mod_p(columns: Sequence[dict[int, int]], p: int) -> int:
-    """Rank over GF(p) by sparse column elimination, pivoting on each
-    column's largest row."""
+def _pivots_mod_p(columns: Sequence[dict[int, int]], p: int) -> dict[int, dict[int, int]]:
+    """Sparse column elimination over GF(p), pivoting on each column's
+    largest row: the reduced columns, keyed by their pivot row."""
     pivots: dict[int, dict[int, int]] = {}
     for col in columns:
         col = {r: v % p for r, v in col.items()}
@@ -184,14 +189,18 @@ def _rank_mod_p(columns: Sequence[dict[int, int]], p: int) -> int:
                     col[k] = x
                 else:
                     del col[k]
-    return len(pivots)
+    return pivots
 
 
-def _rank_exact(columns: Sequence[dict[int, int]]) -> int:
-    """Rank over the rationals: sparse integer elimination, content removed
-    after every combination so entries stay small."""
+def _pivots_exact(columns: Sequence[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Sparse integer elimination over the rationals, keyed as
+    `_pivots_mod_p`.  A pivot is stored without content and with a positive
+    leading entry a.  Against a = 1 a column is updated in place; otherwise
+    it is scaled by a first and its content removed after, so entries stay
+    small."""
     pivots: dict[int, dict[int, int]] = {}
     for col in columns:
+        col = dict(col)
         while col:
             r = max(col)
             other = pivots.get(r)
@@ -202,28 +211,46 @@ def _rank_exact(columns: Sequence[dict[int, int]]) -> int:
                 pivots[r] = {k: v // content for k, v in col.items()}
                 break
             a, b = other[r], col[r]
-            merged = {k: a * v for k, v in col.items()}
+            if a != 1:
+                col = {k: a * v for k, v in col.items()}
             for k, v in other.items():
-                merged[k] = merged.get(k, 0) - b * v
-            col = {k: v for k, v in merged.items() if v}
-            if col:
+                x = col.get(k, 0) - b * v
+                if x:
+                    col[k] = x
+                else:
+                    del col[k]
+            if a != 1 and col:
                 content = gcd(*col.values())
                 col = {k: v // content for k, v in col.items()}
-    return len(pivots)
+    return pivots
 
 
-def _rank(columns: Sequence[dict[int, int]], fld: int | str) -> int:
+def _pivots(columns: Sequence[dict[int, int]], fld: int | str) -> dict[int, dict[int, int]]:
     if fld == "Q":
-        return _rank_exact(columns)
-    return _rank_mod_p(columns, fld)
+        return _pivots_exact(columns)
+    return _pivots_mod_p(columns, fld)
 
 
-def _slice_rank(sl: ComplexSlice, fld: int | str) -> int:
-    """nullity(boundary_out) - rank(boundary_in) over the given field."""
-    middle = len(sl.simplices)
-    if middle == 0:
+def _cleared(sl: ComplexSlice, fld: int | str) -> tuple[int, list[dict[int, int]]]:
+    """rank(boundary_in), and the columns of boundary_out that clearing
+    (Chen and Kerber 2011) keeps: those at no pivot row of boundary_in.  A
+    pivot with largest row j is a cycle c with c_j != 0, so boundary_out(c)
+    = 0 makes column j a combination of earlier columns, and the kept ones
+    have the full rank over every field.  The pivots are dropped on return,
+    before boundary_out is reduced."""
+    pivots = _pivots(sl.boundary_in, fld)
+    return len(pivots), [col for j, col in enumerate(sl.boundary_out) if j not in pivots]
+
+
+def slice_rank(sl: ComplexSlice, fld: int | str = 2) -> int:
+    """Rank of the slice's homology, nullity(boundary_out) -
+    rank(boundary_in), over the given field; boundary_in is reduced first,
+    and clears columns of boundary_out."""
+    fld = _check_field(fld)
+    if not sl.simplices:
         return 0
-    return middle - _rank(sl.boundary_out, fld) - _rank(sl.boundary_in, fld)
+    rank_in, kept = _cleared(sl, fld)
+    return len(sl.simplices) - len(_pivots(kept, fld)) - rank_in
 
 
 def homology_rank(
@@ -238,7 +265,7 @@ def homology_rank(
     if m < -1:
         raise ValueError(f"degree must be >= -1, got {m}")
     fld = _check_field(fld)
-    return _slice_rank(build_complex_slice(H, m, table), fld)
+    return slice_rank(build_complex_slice(H, m, table), fld)
 
 
 def mobius_via_homology(table: FlatTable, fid: int, fld: int | str = 2) -> int:
@@ -255,4 +282,4 @@ def mobius_via_homology(table: FlatTable, fid: int, fld: int | str = 2) -> int:
     if dim < 1:
         raise ValueError("flat must have dimension >= 1")
     fld = _check_field(fld)
-    return _slice_rank(_slice(table, table.masks[fid], dim, dim - 2), fld)
+    return slice_rank(_slice(table, table.masks[fid], dim, dim - 2), fld)

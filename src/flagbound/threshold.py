@@ -48,6 +48,11 @@ REPORT_MAX_N = 5
 # 3,010 for the 5-variable majority function; the 6-variable one is charged
 # 7,774,511 by one elimination and stops here after 0.5 s.
 MAX_FM_PAIRS = 10**6
+# Cap on `_separate`'s passes over its rows, the last pass moving nothing.
+# The most any call makes is 10 in the n = 4 census (22 in the n = 5 walk),
+# so 100 is ten times the largest census count; past it the rows were not
+# strictly feasible and the loop would never end.
+MAX_SEPARATE_ROUNDS = 100
 
 
 @dataclass(frozen=True)
@@ -190,15 +195,20 @@ def _separate(
     after `_child_core` proves them so, or after a tie, where y meets them
     already.  Every input has first coordinate 1, so a margin solution plus
     half the first unit vector is a strict one, and Novikoff's bound makes
-    the loop finite from any start."""
-    moved = True
-    while moved:
+    the loop finite from any start.  Raises RuntimeError after
+    MAX_SEPARATE_ROUNDS passes over the rows, as rows that are not strictly
+    feasible mean a wrong feasibility answer, not a hard input."""
+    for _ in range(MAX_SEPARATE_ROUNDS):
         moved = False
         for u, _ in rows:
             if sum(x * z for x, z in zip(u, y)) <= 0:
                 y = tuple(x + z for x, z in zip(y, u))
                 moved = True
-    return y
+        if not moved:
+            return y
+    raise RuntimeError(
+        f"no strict separation of {len(rows)} rows after {MAX_SEPARATE_ROUNDS} rounds"
+    )
 
 
 def _child_core(

@@ -1,13 +1,21 @@
+import random
+
 import pytest
 
 import flagbound.homology
 from flagbound.arrangement import FlatTable, build_lattice, generate_sign_vectors
 from flagbound.errors import GuardError
+from flagbound.exactlin import rank
 from flagbound.flags import minimal_tuple_count
 from flagbound.homology import (
+    ComplexSlice,
+    _boundary_columns,
+    _cleared,
+    _pivots,
     build_complex_slice,
     homology_rank,
     mobius_via_homology,
+    slice_rank,
 )
 
 from conftest import random_spanning_set
@@ -72,6 +80,53 @@ def test_faces_are_closed(sign_tables):
     for simplex in sl.simplices:
         for drop in range(len(simplex)):
             assert simplex[:drop] + simplex[drop + 1:] in face_set
+
+
+def test_torsion_of_projective_plane():
+    # the 6-vertex RP^2: H_1 = Z/2 and H_2 = 0, so both degrees rank 1 over
+    # GF(2) and 0 over GF(3) and Q; reducing its triangles over Q meets a
+    # pivot with leading entry 2
+    triangles = [(0, 1, 2), (0, 1, 5), (0, 2, 3), (0, 3, 4), (0, 4, 5),
+                 (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5)]
+    edges = sorted({(t[i], t[j]) for t in triangles for i, j in ((0, 1), (0, 2), (1, 2))})
+    vertices = [(v,) for v in range(6)]
+    assert len(edges) == 15
+    assert 2 in {col[r] for r, col in _pivots(_boundary_columns(edges, triangles), "Q").items()}
+    for degree, layers in ((1, (vertices, edges, triangles)), (2, (edges, triangles, []))):
+        faces, simplices, cofaces = map(tuple, layers)
+        sl = ComplexSlice(degree, faces, simplices, cofaces,
+                          _boundary_columns(faces, simplices),
+                          _boundary_columns(simplices, cofaces))
+        assert [slice_rank(sl, fld) for fld in (2, 3, "Q")] == [1, 0, 0]
+
+
+def test_clearing_keeps_boundary_out_rank(sign_tables):
+    # boundary_out's column at each pivot row of boundary_in is a combination
+    # of earlier columns, so skipping those columns keeps its rank
+    cases = [(*sign_tables[n], n - 1) for n in (2, 3, 4)]
+    for H in (random_spanning_set(3, 6, 41), random_spanning_set(3, 8, 5),
+              random_spanning_set(4, 10, 7)):
+        cases.append((H, None, H.ambient_dim - 2))
+    skipped = 0
+    for H, table, m in cases:
+        sl = build_complex_slice(H, m, table)
+        for fld in (2, 3, "Q"):
+            _, kept = _cleared(sl, fld)
+            assert len(_pivots(kept, fld)) == len(_pivots(sl.boundary_out, fld))
+            skipped += len(sl.boundary_out) - len(kept)
+    assert skipped > 0
+
+
+def test_exact_kernel_matches_exactlin_rank():
+    # integer columns with leading entries other than +-1 take the kernel's
+    # scale-and-content step; exactlin.rank is the reference
+    rng = random.Random(5)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        dense = [[rng.choice((0, 0, 1, -1, 2, -3, 4)) for _ in range(rows)]
+                 for _ in range(cols)]
+        sparse = [{r: v for r, v in enumerate(col) if v} for col in dense]
+        assert len(_pivots(sparse, "Q")) == rank(dense, rows)
 
 
 def test_empty_degree_gives_zero():

@@ -12,6 +12,7 @@ from flagbound.threshold import (
     _feasible,
     _input_vectors,
     _margin_row,
+    _separate,
     _threshold_codes,
     bounds_report,
     count_threshold_functions,
@@ -125,6 +126,17 @@ def test_witnesses_satisfy_their_prefix(monkeypatch):
     for n in (1, 2, 3):
         assert sum(1 for _ in _threshold_codes(n)) == (4, 14, 104)[n - 1]
     assert calls[0] > 0
+
+
+def test_separate_stops_on_infeasible_rows():
+    # XOR's margin rows have no strict solution, so the perceptron never
+    # settles; the round cap turns that into an error, not a hang
+    xor = BooleanFunction(2, (0, 1, 1, 0))
+    rows = [_margin_row(v, bit) for v, bit in zip(_input_vectors(2), xor.truth)]
+    start = time.monotonic()
+    with pytest.raises(RuntimeError):
+        _separate(rows, (1, 0, 0))
+    assert time.monotonic() - start < 1
 
 
 def test_negation_closure():
