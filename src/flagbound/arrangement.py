@@ -21,6 +21,7 @@ __all__ = [
     "FlatTable",
     "ensure_table",
     "generate_sign_vectors",
+    "decreasing_chains",
     "build_lattice",
     "chamber_count",
     "chamber_count_dr",
@@ -308,34 +309,41 @@ def ensure_table(H: VectorSet, table: FlatTable | None = None) -> FlatTable:
     return table
 
 
-def build_lattice(H: VectorSet, table: FlatTable | None = None) -> IntersectionLattice:
-    """Enumerate all flats by closure from the atoms and solve the Mobius
-    recursion mu(t) = -sum_{s<t} mu(s) bottom-up in id order, once per
-    table: the lattice is kept on the table and returned again."""
-    table = ensure_table(H, table)
-    if table._lattice is not None:
-        return table._lattice
+def decreasing_chains(table: FlatTable, order: Sequence[int]) -> list[int]:
+    """Per flat F, the number of chains 0 < .. < F of covers in which each
+    step adds the least member, in `order`, of the flat it reaches.  It is
+    |mu(0, F)| for every order: by Weisner's theorem on F's least member a,
+    mu(0, F) = -sum mu(0, G) over the lower covers G of F that miss a
+    (Stanley, EC1 3.9; the decreasing chains of Bjorner's minimal labeling).
+    One forward pass over the flats in id order, which ascends with dimension."""
     table.close()
-    nflats = len(table.masks)
-    children: list[list[int]] = [[] for _ in range(nflats)]
-    for fid in range(nflats):
+    masks = table.masks
+    bits = [1 << i for i in order]
+    # The order-minimal member of each flat as its bit; flat 0 has none.
+    minimal = [0]
+    for mask in masks[1:]:
+        for bit in bits:
+            if mask & bit:
+                minimal.append(bit)
+                break
+    chains = [0] * len(masks)
+    chains[table.zero_fid] = 1
+    for fid, mask in enumerate(masks):
+        count = chains[fid]
         for cid in table.covers(fid):
-            children[cid].append(fid)
-    mobius = [0] * nflats
-    mobius[table.zero_fid] = 1
-    for fid in range(1, nflats):
-        # Proper down-set of fid via the reversed cover diagram.
-        seen = {fid}
-        stack = [fid]
-        total = 0
-        while stack:
-            for s in children[stack.pop()]:
-                if s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-                    total += mobius[s]
-        mobius[fid] = -total
-    table._lattice = IntersectionLattice(table, mobius)
+            if not mask & minimal[cid]:
+                chains[cid] += count
+    return chains
+
+
+def build_lattice(H: VectorSet, table: FlatTable | None = None) -> IntersectionLattice:
+    """Close the table and take mu(0, F) = (-1)^dim(F) times F's decreasing
+    chains in index order, once per table: the lattice is kept on it."""
+    table = ensure_table(H, table)
+    if table._lattice is None:
+        chains = decreasing_chains(table, range(len(H)))
+        mobius = [-c if dim & 1 else c for c, dim in zip(chains, table.dims)]
+        table._lattice = IntersectionLattice(table, mobius)
     return table._lattice
 
 

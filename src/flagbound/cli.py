@@ -68,10 +68,7 @@ def _weight_vectors(spec: str, count: int) -> list[WeightVector]:
 
 def _run_gen_e(args: argparse.Namespace) -> tuple[bool, dict]:
     vs = generate_sign_vectors(args.n)
-    if args.out is None:
-        arrangement.write_vector_set(sys.stdout, vs)
-    else:
-        arrangement.write_vector_set(args.out, vs)
+    arrangement.write_vector_set(sys.stdout if args.out is None else args.out, vs)
     return True, {
         "n": args.n,
         "count": len(vs),
@@ -149,6 +146,7 @@ def _run_count_threshold(args: argparse.Namespace) -> tuple[bool, dict]:
 
 
 def _run_report(args: argparse.Namespace) -> tuple[bool, dict]:
+    threshold.check_report_n(args.n)
     vectors = _weight_vectors(args.weights, 1 << args.n)
     if len(vectors) != 1:
         raise ValueError(f"report takes one weight vector, {args.weights!r} gives {len(vectors)}")
@@ -266,35 +264,32 @@ _HANDLERS = {
 }
 
 
-def _render_text(subcommand: str, payload: dict, fh: TextIO) -> None:
-    if subcommand == "verify":
+def _render(args: argparse.Namespace, payload: dict, fh: TextIO) -> None:
+    if args.fmt == "json":
+        fh.write(json.dumps(payload, separators=(",", ":")) + "\n")
+    elif args.subcommand == "verify":
         for c in payload["checks"]:
             mark = "PASS" if c["ok"] else "FAIL"
             fh.write(f"{mark} n={c['n']} {c['name']}: {c['detail']}\n")
         fh.write("all checks passed\n" if payload["ok"] else "failures above\n")
-        return
-    for key, value in payload.items():
-        if isinstance(value, list):
-            value = " ".join(str(v) for v in value)
-        fh.write(f"{key}: {value}\n")
+    else:
+        for key, value in payload.items():
+            if isinstance(value, list):
+                value = " ".join(str(v) for v in value)
+            fh.write(f"{key}: {value}\n")
 
 
 def _emit(args: argparse.Namespace, payload: dict) -> None:
-    if args.subcommand == "gen-e" and args.out is None:
-        return
-    out: TextIO
-    if args.out is not None and args.subcommand != "gen-e":
-        out = open(args.out, "w", encoding="ascii")
+    """Write the payload to --out, else stdout.  gen-e has written its
+    vector set there, so it shows its payload only beside an --out file."""
+    if args.subcommand == "gen-e":
+        if args.out is not None:
+            _render(args, payload, sys.stdout)
+    elif args.out is None:
+        _render(args, payload, sys.stdout)
     else:
-        out = sys.stdout
-    try:
-        if args.fmt == "json":
-            out.write(json.dumps(payload, separators=(",", ":")) + "\n")
-        else:
-            _render_text(args.subcommand, payload, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        with open(args.out, "w", encoding="ascii") as out:
+            _render(args, payload, out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -366,6 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_source(args)
         ok, payload = _HANDLERS[args.subcommand](args)
+        _emit(args, payload)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -374,7 +370,6 @@ def main(argv: list[str] | None = None) -> int:
         # a failed check, not a usage error.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(args, payload)
     return 0 if ok else 1
 
 

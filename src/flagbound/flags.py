@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, TextIO
 
-from .arrangement import FlatTable, VectorSet, ensure_table, generate_sign_vectors
+from .arrangement import (
+    FlatTable,
+    VectorSet,
+    decreasing_chains,
+    ensure_table,
+    generate_sign_vectors,
+)
 from .errors import GuardError
 
 __all__ = [
@@ -299,9 +305,10 @@ def minimal_tuple_count(
 
     Each qualifying tuple is reconstructed from its chain of suffix spans:
     per chain at most one tuple qualifies (the minimal member at each step
-    is unique), so the count is one forward pass over the flats in id
-    order, which ascends with dimension, each flat's path count pushed to
-    the covers whose minimal member is the newly added vector.
+    is unique), and one does exactly when every step adds the minimal
+    member of the span it reaches.  So the count is the sum of the
+    decreasing chains (arrangement.decreasing_chains) over the coatoms
+    that miss the order-first vector.
     """
     table = ensure_table(H, table)
     T = len(H)
@@ -309,29 +316,12 @@ def minimal_tuple_count(
         order = OrderPermutation.identity(T)
     if len(order) != T:
         raise ValueError(f"order on {len(order)} indices, set has {T}")
-    table.close()
-    masks = table.masks
-    bits = [1 << i for i in order.order]
-    # The order-minimal member of each flat as its bit; flat 0 has none.
-    minimal = [0]
-    for mask in masks[1:]:
-        for bit in bits:
-            if mask & bit:
-                minimal.append(bit)
-                break
-    paths = [0] * len(masks)
-    paths[table.zero_fid] = 1
-    for fid, mask in enumerate(masks):
-        count = paths[fid]
-        if count:
-            for cid in table.covers(fid):
-                if not mask & minimal[cid]:
-                    paths[cid] += count
+    chains = decreasing_chains(table, order.order)
     n = H.ambient_dim - 1
-    first = bits[0]
+    first = 1 << order.first
     return sum(
         count
-        for count, mask, dim in zip(paths, masks, table.dims)
+        for count, mask, dim in zip(chains, table.masks, table.dims)
         if dim == n and not mask & first
     )
 

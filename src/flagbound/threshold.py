@@ -36,6 +36,7 @@ __all__ = [
     "is_threshold",
     "count_threshold_functions",
     "bounds_report",
+    "check_report_n",
 ]
 
 SINGLE_CALL_MAX_N = 10
@@ -309,6 +310,12 @@ class BoundsReport:
     schlafli: int
 
 
+def check_report_n(n: int) -> None:
+    """Raise bounds_report's guard on n, which callers can check first."""
+    if not 1 <= n <= REPORT_MAX_N:
+        raise GuardError("bounds_report.n", f"1 <= n <= {REPORT_MAX_N}", n)
+
+
 def bounds_report(
     n: int,
     p: WeightVector | None = None,
@@ -317,8 +324,7 @@ def bounds_report(
     """Assemble the bound chain 2 * flag sum = 2 * minimal tuples
     <= chambers <= cell bound, raising if any link fails.  p None means
     uniform weights."""
-    if not 1 <= n <= REPORT_MAX_N:
-        raise GuardError("bounds_report.n", f"1 <= n <= {REPORT_MAX_N}", n)
+    check_report_n(n)
     H = generate_sign_vectors(n)
     table = ensure_table(H, table)
     if p is None:

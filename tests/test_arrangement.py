@@ -107,8 +107,10 @@ def test_atoms_match_vector_count(sign_tables):
 
 
 def test_mobius_defining_identity(sign_tables):
-    for n in (1, 2, 3):
-        H, table = sign_tables[n]
+    cases = [sign_tables[n] for n in (1, 2, 3, 4)]
+    cases += [(H, FlatTable(H)) for H in (random_spanning_set(3, 8, 41),
+                                          random_spanning_set(4, 9, 42))]
+    for H, table in cases:
         L = build_lattice(H, table)
         fids = range(len(table.rows))
         for t in fids:

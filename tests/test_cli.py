@@ -267,6 +267,31 @@ def test_random_weights_guard_exit_code(capsys):
     assert "Traceback" not in err
 
 
+def test_report_checks_n_before_building_weights(capsys, monkeypatch):
+    # 1 << n weights would be a 2^30-entry tuple at n = 30 and a negative
+    # shift at n = -1, so the n guard must come before any weights.
+    def refuse(spec, count):
+        raise AssertionError(f"{count} weights built before the n guard")
+
+    monkeypatch.setattr(flagbound.cli, "_weight_vectors", refuse)
+    for n in ("30", "0", "-1"):
+        code, out, err = run(capsys, ["report", "--n", n])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: guard 'bounds_report.n'")
+        assert "Traceback" not in err
+
+
+def test_out_to_unwritable_path_exit_code(capsys, tmp_path):
+    target = str(tmp_path / "missing" / "x.txt")
+    for argv in (["chambers", "--n", "2"], ["report", "--n", "1"], ["gen-e", "--n", "2"]):
+        code, out, err = run(capsys, argv + ["--out", target])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 def test_count_threshold(capsys):
     for n, count in ((2, "14"), (4, "1882")):
         code, out, _ = run(

@@ -10,6 +10,7 @@ from flagbound.arrangement import (
     VectorSet,
     build_lattice,
     chamber_count,
+    decreasing_chains,
     generate_sign_vectors,
 )
 from flagbound.errors import GuardError
@@ -181,6 +182,20 @@ def test_order_invariance(sign_tables):
         for s in range(20):
             order = OrderPermutation.random(len(H), s)
             assert minimal_tuple_count(H, order, table) == base
+
+
+def test_decreasing_chains_are_mobius_flat_by_flat(sign_tables):
+    # Bjorner: in every order of the atoms, the decreasing chains into a
+    # flat F number |mu(0, F)|, not only summed over the coatoms (lambda).
+    cases = [sign_tables[n] for n in (1, 2, 3, 4)]
+    cases += [(H, FlatTable(H)) for H in (random_spanning_set(3, 8, 51),
+                                          random_spanning_set(4, 9, 52))]
+    for H, table in cases:
+        mobius = build_lattice(H, table).mobius
+        for s in range(5):
+            order = OrderPermutation.random(len(H), s)
+            chains = decreasing_chains(table, order.order)
+            assert chains == [abs(mu) for mu in mobius]
 
 
 def test_walked_table_numbers_flats_like_a_fresh_one():
