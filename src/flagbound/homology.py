@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .arrangement import FlatTable, VectorSet, ensure_table
 from .errors import GuardError
@@ -127,21 +127,23 @@ def _proper_span_layers(
     ]
 
 
+def _mask(s: tuple[int, ...]) -> int:
+    return sum(1 << i for i in s)
+
+
 def _boundary_columns(
-    faces: Sequence[tuple[int, ...]], simplices: Sequence[tuple[int, ...]]
+    index: dict[int, int], simplices: Sequence[tuple[int, ...]], masks: Iterable[int]
 ) -> tuple[dict[int, int], ...]:
     """Signed incidence of each simplex with its one-smaller faces, as one
-    {face row: +-1} column per simplex.  Faces are looked up by member
-    bitmask: dropping a vertex clears one bit."""
-    index = {sum(1 << i for i in f): r for r, f in enumerate(faces)}
+    {face row: +-1} column per simplex.  Faces are looked up in `index` by
+    member bitmask (`masks` gives the simplices'): dropping a vertex clears
+    one bit."""
     columns = []
-    for s in simplices:
-        bits = [1 << i for i in s]
-        mask = sum(bits)
+    for s, mask in zip(simplices, masks):
         col = {}
         sign = 1
-        for bit in bits:
-            row = index.get(mask ^ bit)
+        for i in s:
+            row = index.get(mask ^ 1 << i)
             if row is not None:
                 col[row] = sign
             sign = -sign
@@ -150,15 +152,18 @@ def _boundary_columns(
 
 
 def _slice(table: FlatTable, mask: int, dim: int, m: int) -> ComplexSlice:
+    """Each bitmask is computed once; the middle layer's serve both maps."""
     layers = _proper_span_layers(table, mask, dim, (m, m + 1, m + 2))
     faces, simplices, cofaces = map(tuple, layers)
+    face_index = {_mask(f): r for r, f in enumerate(faces)}
+    index = {_mask(s): r for r, s in enumerate(simplices)}
     return ComplexSlice(
         degree=m,
         faces=faces,
         simplices=simplices,
         cofaces=cofaces,
-        boundary_out=_boundary_columns(faces, simplices),
-        boundary_in=_boundary_columns(simplices, cofaces),
+        boundary_out=_boundary_columns(face_index, simplices, index),
+        boundary_in=_boundary_columns(index, cofaces, map(_mask, cofaces)),
     )
 
 

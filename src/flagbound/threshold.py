@@ -4,12 +4,14 @@ A function on the n-cube is a threshold function when some affine form is
 nonnegative exactly on its true points.  Feasibility of that sign pattern
 is decided exactly, so the census is an oracle completely independent of
 the lattice and flag machinery it is reconciled against.  The census is an
-exhaustive search over the truth-table prefix tree, pruned by that test.
-Only the half with the first input true is walked, as negation maps it onto
-the other.  Most children are decided without a solve, by an integer
-witness that the prefix carries or by the infeasible core of an earlier
-solve; the rest are solved on the new row's hyperplane, one variable down:
-1,115 solves for the 5,515 children at n = 4.
+exhaustive search over the truth-table prefix tree, pruned by that test;
+it walks the sign vectors of any vector set, so on other sets it counts
+their chambers.  Only the half with the first input true is walked, as
+negation maps it onto the other.  Most children are decided without a
+solve, by an integer witness that the prefix carries or by the infeasible
+core of an earlier solve; the rest are solved on the new row's hyperplane,
+one variable down, and a feasible solve returns the child's witness: 1,115
+solves for the 5,515 children at n = 4.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Iterable, Iterator
 
 from .arrangement import (
     FlatTable,
+    VectorSet,
     chamber_count,
     ensure_table,
     generate_sign_vectors,
@@ -45,15 +48,10 @@ REPORT_MAX_N = 5
 # Guard on the Fourier-Motzkin pairs of one `_feasible` call, charged as
 # sum |pos| * |neg| before each elimination forms its pairs.  FM formed about
 # 300,000 pairs a second (2 CPUs), so a call stops within about 3.5 s.  The
-# largest solve charges 23 in the n = 4 census, 448 in the n = 5 census and
+# largest solve charges 23 in the n = 4 census, 269 in the n = 5 census and
 # 3,010 for the 5-variable majority function; the 6-variable one is charged
 # 7,774,511 by one elimination and stops here after 0.5 s.
 MAX_FM_PAIRS = 10**6
-# Cap on `_separate`'s passes over its rows, the last pass moving nothing.
-# The most any call makes is 10 in the n = 4 census (22 in the n = 5 walk),
-# so 100 is ten times the largest census count; past it the rows were not
-# strictly feasible and the loop would never end.
-MAX_SEPARATE_ROUNDS = 100
 
 
 @dataclass(frozen=True)
@@ -92,15 +90,18 @@ def _normalized(a: tuple[int, ...], b: int) -> tuple[tuple[int, ...], int]:
     return a, b
 
 
-def _feasible(rows: Iterable[tuple[tuple[int, ...], int]], nvars: int) -> int:
+def _feasible(
+    rows: Iterable[tuple[tuple[int, ...], int]], nvars: int
+) -> tuple[int, tuple[tuple[int, ...], int] | None]:
     """Exact satisfiability of {sum a_j x_j >= b} over the rationals by
     variable elimination; positive cross-multipliers keep every step an
     equivalence, so the answer is exact.
 
-    Returns 0 when the system is feasible.  Otherwise returns the core: the
-    bitmask of the row positions whose nonnegative combination is the
-    contradiction 0 >= b > 0 found, so those rows alone are infeasible.
-    Raises GuardError past MAX_FM_PAIRS.
+    Returns (0, (x, scale)) when the system is feasible: integers with
+    scale > 0 and a.x >= b * scale on every row, so x / scale solves it.
+    Otherwise returns (core, None): the bitmask of the row positions whose
+    nonnegative combination is the contradiction 0 >= b > 0 found, so those
+    rows alone are infeasible.  Raises GuardError past MAX_FM_PAIRS.
     """
     system: dict[tuple[int, ...], int] = {}
     cores: dict[tuple[int, ...], int] = {}
@@ -108,13 +109,14 @@ def _feasible(rows: Iterable[tuple[tuple[int, ...], int]], nvars: int) -> int:
         a, b = _normalized(a, b)
         if not any(a):
             if b > 0:
-                return 1 << i
+                return 1 << i, None
             continue
         prev = system.get(a)
         if prev is None or b > prev:
             system[a] = b
             cores[a] = 1 << i
     pairs = 0
+    steps = []
     while system:
         counts = [[0, 0] for _ in range(nvars)]
         for a in system:
@@ -124,8 +126,6 @@ def _feasible(rows: Iterable[tuple[tuple[int, ...], int]], nvars: int) -> int:
                 elif x < 0:
                     counts[j][1] += 1
         active = [j for j in range(nvars) if counts[j][0] or counts[j][1]]
-        if not active:
-            return 0
         j = min(active, key=lambda k: counts[k][0] * counts[k][1])
         pairs += counts[j][0] * counts[j][1]
         if pairs > MAX_FM_PAIRS:
@@ -140,6 +140,7 @@ def _feasible(rows: Iterable[tuple[tuple[int, ...], int]], nvars: int) -> int:
                 neg.append((a, b))
             else:
                 keep[a] = b
+        steps.append((j, pos or neg))
         # cores[a] is the OR of the cores of the rows a was derived from; a
         # derived row is 0 in every eliminated column, so it never meets the
         # key of an eliminated row and `cores` needs no reset.
@@ -153,14 +154,32 @@ def _feasible(rows: Iterable[tuple[tuple[int, ...], int]], nvars: int) -> int:
                 a, b = _normalized(a, b)
                 if not any(a):
                     if b > 0:
-                        return cp | cores[an]
+                        return cp | cores[an], None
                     continue
                 prev = keep.get(a)
                 if prev is None or b > prev:
                     keep[a] = b
                     cores[a] = cp | cores[an]
         system = keep
-    return 0
+    # Back-substitution (Schrijver 1986, section 12.2), last elimination
+    # first: x_j takes its tightest lower bound, or its tightest upper one
+    # when it has none.  Each lower and upper bound on x_j gave a derived
+    # row that the later variables meet, so no lower bound exceeds an upper
+    # one.  Row a bounds x_j by t / a_j, t = b * scale - a.x (x_j still 0),
+    # the tightest has the largest t / |a_j|, and the point is scaled by that
+    # |a_j| to stay integer.
+    x = [0] * nvars
+    scale = 1
+    for j, bounds in reversed(steps):
+        t = m = None
+        for a, b in bounds:
+            ta = b * scale - sum(c * z for c, z in zip(a, x))
+            if m is None or ta * m > t * abs(a[j]):
+                t, m, aj = ta, abs(a[j]), a[j]
+        x = [m * z for z in x]
+        x[j] = t if aj > 0 else -t
+        scale *= m
+    return 0, (tuple(x), scale)
 
 
 @lru_cache(maxsize=None)
@@ -185,78 +204,63 @@ def is_threshold(f: BooleanFunction) -> bool:
     if f.n > SINGLE_CALL_MAX_N:
         raise GuardError("is_threshold.n", f"n <= {SINGLE_CALL_MAX_N}", f.n)
     rows = [_margin_row(v, bit) for v, bit in zip(_input_vectors(f.n), f.truth)]
-    return not _feasible(rows, f.n + 1)
+    return not _feasible(rows, f.n + 1)[0]
 
 
-def _separate(
-    rows: list[tuple[tuple[int, ...], int]], y: tuple[int, ...]
-) -> tuple[int, ...]:
-    """Perceptron steps from y (y += u on any row u with u.y <= 0) until
-    u.y > 0 for every margin row (u, b).  Called only on feasible rows:
-    after `_child_core` proves them so, or after a tie, where y meets them
-    already.  Every input has first coordinate 1, so a margin solution plus
-    half the first unit vector is a strict one, and Novikoff's bound makes
-    the loop finite from any start.  Raises RuntimeError after
-    MAX_SEPARATE_ROUNDS passes over the rows, as rows that are not strictly
-    feasible mean a wrong feasibility answer, not a hard input."""
-    for _ in range(MAX_SEPARATE_ROUNDS):
-        moved = False
-        for u, _ in rows:
-            if sum(x * z for x, z in zip(u, y)) <= 0:
-                y = tuple(x + z for x, z in zip(y, u))
-                moved = True
-        if not moved:
-            return y
-    raise RuntimeError(
-        f"no strict separation of {len(rows)} rows after {MAX_SEPARATE_ROUNDS} rounds"
-    )
-
-
-def _child_core(
-    rows: list[tuple[tuple[int, ...], int]], row: tuple[tuple[int, ...], int]
-) -> int:
-    """The core of rows + [row] (0 when feasible), decided on the hyperplane
-    u.x = b of row (u, b), as `_threshold_codes`'s kernel rule says.  u_0 =
-    +-1, as every input has first coordinate 1, so x_0 = u_0 (b - sum_{j>=1}
-    u_j x_j) keeps the rows integer, one variable down."""
-    u, b = row
+def _child_solve(
+    rows: list[tuple[tuple[int, ...], int]], u: tuple[int, ...]
+) -> tuple[int, tuple[int, ...] | None]:
+    """(core, None) when rows + [(u, 1)] are infeasible, else (0, y), y an
+    integer point meeting them all, decided on the hyperplane u.x = 1 as
+    `_threshold_codes`'s kernel rule says.  x_c = (1 - sum_{j!=c} u_j x_j) /
+    u_c, c the first nonzero coordinate of u, with each row scaled by |u_c|
+    keeps the rows integer; a solution is lifted back, scaled by |u_c|."""
+    c = next(j for j, z in enumerate(u) if z)
+    m = abs(u[c])
+    s = 1 if u[c] > 0 else -1
+    rest = u[:c] + u[c + 1:]
     restricted = []
-    for a, c in rows:
-        m = a[0] * u[0]
-        restricted.append((tuple(x - m * w for x, w in zip(a[1:], u[1:])), c - m * b))
-    core = _feasible(restricted, len(u) - 1)
-    return core | 1 << len(rows) if core else 0
+    for a, b in rows:
+        k = s * a[c]
+        a = a[:c] + a[c + 1:]
+        restricted.append((tuple(m * x - k * w for x, w in zip(a, rest)), m * b - k))
+    core, point = _feasible(restricted, len(rest))
+    if core:
+        return core | 1 << len(rows), None
+    x, scale = point
+    xc = s * (scale - sum(w * z for w, z in zip(rest, x)))
+    return 0, tuple(m * z for z in x[:c]) + (xc,) + tuple(m * z for z in x[c:])
 
 
-def _threshold_codes(n: int) -> Iterator[int]:
-    """Every threshold truth-table code (bit k = input k, as in
-    `BooleanFunction.from_int`), depth first over the prefix tree of the
-    inputs in `_input_vectors` order.  A child prefix is entered only when
-    its rows are feasible; every extension of an infeasible system is
-    infeasible, so the pruning is exact.
+def _threshold_codes(H: VectorSet) -> Iterator[int]:
+    """The sign vector of every chamber of H's arrangement, as a code with
+    bit k set where w_k.x > 0, depth first over the prefix tree of H's
+    vectors in order.  On E_n these are the threshold truth-table codes (bit
+    k = input k, as in `BooleanFunction.from_int`), as a threshold function
+    has a form that is nonzero on every input.
 
-    Only the half of the tree with input 0 true is walked, and each leaf
-    yields its code and the complement: -y strictly separates not-f
-    whenever y strictly separates f.
+    A prefix's rows are (u, 1) for its vectors, u = w_k where bit k is set
+    and -w_k where it is clear: homogeneous, so any solution meets them
+    strictly.  A child prefix is entered only when its rows are feasible;
+    every extension of an infeasible system is infeasible, so the pruning
+    is exact.  Only the half of the tree with bit 0 set is walked, and each
+    leaf yields its code and the complement: -x lies in the opposite chamber.
 
-    Each prefix carries an integer witness y with u.y > 0 for each of its
-    margin rows (u, b), so y meets the rows themselves.  A child with new
-    row (u, b) is decided by the first of four rules, each resting on a
-    proof:
+    Each prefix carries an integer witness y with u.y > 0 on each of its
+    rows, so a multiple of y meets them.  A child with new row (u, 1) is
+    decided by the first of three rules, each resting on a proof:
     - witness: when u.y > 0, y is the child's witness;
-    - tie: when the child's input is true and u.y = 0, y meets the child's
-      rows, and `_separate` moves it onto them strictly;
     - core: when the child agrees with an earlier infeasible child of the
       same depth on that child's core rows, those rows alone are infeasible;
-    - kernel: otherwise u.y < b, and `_child_core` decides the child on
-      the hyperplane u.x = b: a segment from y to any child solution stays
-      in the parent's polyhedron and crosses it, so the child is feasible
-      exactly when the parent's rows meet it.  y meets every subset of the
-      parent's rows, so the same segment makes a core found there, plus the
-      child's own row, a core of the child; it is stored.  `_separate`
-      moves y onto a feasible child's rows.
+    - kernel: otherwise u.y <= 0 < 1, and `_child_solve` decides the child
+      on the hyperplane u.x = 1: a segment from that multiple of y to any
+      child solution stays in the parent's polyhedron and crosses it, so
+      the child is feasible exactly when the parent's rows meet it there.
+      The multiple meets every subset of the parent's rows, so the same
+      segment makes a core found there, plus the child's own row, a core of
+      the child; it is stored.  A feasible child's solution is its witness.
     """
-    vectors = _input_vectors(n)
+    vectors = H.vectors
     full = (1 << len(vectors)) - 1
     # per depth, (core, code & core) of each infeasible child found there;
     # a core holds its child's own row, as the parent is feasible, so a
@@ -269,24 +273,22 @@ def _threshold_codes(n: int) -> Iterator[int]:
             yield code
             yield full ^ code
             return
-        vy = sum(x * z for x, z in zip(vectors[k], y))
+        w = vectors[k]
+        wy = sum(x * z for x, z in zip(w, y))
         for bit in (0, 1):
             child = code | bit << k
-            row = _margin_row(vectors[k], bit)
-            child_rows = rows + [row]
-            if (vy >= 0) if bit else (vy < 0):
-                z = _separate(child_rows, y) if vy == 0 else y
-                yield from walk(child_rows, child, z)
+            u = w if bit else tuple(-x for x in w)
+            if (wy > 0) if bit else (wy < 0):
+                yield from walk(rows + [(u, 1)], child, y)
             elif not any((child ^ c) & core == 0 for core, c in cores[k]):
-                core = _child_core(rows, row)
+                core, z = _child_solve(rows, u)
                 if core:
                     cores[k].append((core, child & core))
                 else:
-                    yield from walk(child_rows, child, _separate(child_rows, y))
+                    yield from walk(rows + [(u, 1)], child, z)
 
-    # the first unit vector has v.y = 1 on every input, so it witnesses
-    # input 0's true row: the root's true child needs no solve
-    return walk([_margin_row(vectors[0], 1)], 1, (1,) + (0,) * n)
+    # w_0.w_0 > 0, so w_0 witnesses the root's true child without a solve
+    return walk([(vectors[0], 1)], 1, vectors[0])
 
 
 def count_threshold_functions(n: int) -> int:
@@ -294,7 +296,7 @@ def count_threshold_functions(n: int) -> int:
     over all 2^(2^n) truth tables."""
     if not 1 <= n <= CENSUS_MAX_N:
         raise GuardError("count_threshold_functions.n", f"1 <= n <= {CENSUS_MAX_N}", n)
-    return sum(1 for _ in _threshold_codes(n))
+    return sum(1 for _ in _threshold_codes(generate_sign_vectors(n)))
 
 
 @dataclass(frozen=True)

@@ -63,9 +63,9 @@ def test_criterion_01_ground_truth_chain(sign_tables, monkeypatch):
         start = time.monotonic()
         expected = {1: 4, 2: 14, 3: 104, 4: 1882}
         # FM calls of the pruned census over the half with input 0 true,
-        # each on its new row's hyperplane; witnesses, ties and stored cores
-        # decide the other children, and the exhaustive loop makes 2^(2^n)
-        expected_calls = {1: 1, 2: 7, 3: 69, 4: 1115}
+        # each on its new row's hyperplane; witnesses and stored cores decide
+        # the other children, and the exhaustive loop makes 2^(2^n)
+        expected_calls = {1: 2, 2: 7, 3: 70, 4: 1115}
         feasible = flagbound.threshold._feasible
         calls = [0]
 
@@ -188,7 +188,7 @@ def test_criterion_09_performance_path():
         # for the pruned census
         exhaustive = {c for c in range(1 << 16)
                       if is_threshold(BooleanFunction.from_int(4, c))}
-        assert set(_threshold_codes(4)) == exhaustive
+        assert set(_threshold_codes(generate_sign_vectors(4))) == exhaustive
         assert time.monotonic() - start <= 1800
 
 
@@ -205,4 +205,5 @@ def test_criterion_10_random_arrangements():
             for s in range(5):
                 order = OrderPermutation.random(count, s)
                 assert minimal_tuple_count(H, order) == lam
-            assert chamber_count(H) == chamber_count_dr(H)
+            census = sum(1 for _ in _threshold_codes(H))
+            assert census == chamber_count(H) == chamber_count_dr(H)

@@ -11,6 +11,7 @@ from flagbound.homology import (
     ComplexSlice,
     _boundary_columns,
     _cleared,
+    _mask,
     _pivots,
     build_complex_slice,
     homology_rank,
@@ -82,6 +83,12 @@ def test_faces_are_closed(sign_tables):
             assert simplex[:drop] + simplex[drop + 1:] in face_set
 
 
+def _columns(faces, simplices):
+    """`_boundary_columns` between two layers given as vertex tuples."""
+    index = {_mask(f): r for r, f in enumerate(faces)}
+    return _boundary_columns(index, simplices, map(_mask, simplices))
+
+
 def test_torsion_of_projective_plane():
     # the 6-vertex RP^2: H_1 = Z/2 and H_2 = 0, so both degrees rank 1 over
     # GF(2) and 0 over GF(3) and Q; reducing its triangles over Q meets a
@@ -91,12 +98,11 @@ def test_torsion_of_projective_plane():
     edges = sorted({(t[i], t[j]) for t in triangles for i, j in ((0, 1), (0, 2), (1, 2))})
     vertices = [(v,) for v in range(6)]
     assert len(edges) == 15
-    assert 2 in {col[r] for r, col in _pivots(_boundary_columns(edges, triangles), "Q").items()}
+    assert 2 in {col[r] for r, col in _pivots(_columns(edges, triangles), "Q").items()}
     for degree, layers in ((1, (vertices, edges, triangles)), (2, (edges, triangles, []))):
         faces, simplices, cofaces = map(tuple, layers)
         sl = ComplexSlice(degree, faces, simplices, cofaces,
-                          _boundary_columns(faces, simplices),
-                          _boundary_columns(simplices, cofaces))
+                          _columns(faces, simplices), _columns(simplices, cofaces))
         assert [slice_rank(sl, fld) for fld in (2, 3, "Q")] == [1, 0, 0]
 
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -6,18 +7,20 @@ import numpy as np
 import pytest
 
 import flagbound.threshold
+from flagbound.arrangement import VectorSet, chamber_count, chamber_count_dr, generate_sign_vectors
 from flagbound.errors import GuardError
 from flagbound.threshold import (
     BooleanFunction,
     _feasible,
     _input_vectors,
     _margin_row,
-    _separate,
     _threshold_codes,
     bounds_report,
     count_threshold_functions,
     is_threshold,
 )
+
+from conftest import random_spanning_set
 
 
 def test_constant_functions_are_threshold():
@@ -50,47 +53,96 @@ def test_pruned_codes_match_exhaustive_loop():
     for n in (1, 2, 3):
         exhaustive = {c for c in range(1 << (1 << n))
                       if is_threshold(BooleanFunction.from_int(n, c))}
-        assert set(_threshold_codes(n)) == exhaustive
+        assert set(_threshold_codes(generate_sign_vectors(n))) == exhaustive
 
 
 def test_feasible_returns_core():
     xor = BooleanFunction(2, (0, 1, 1, 0))
     rows = [_margin_row(v, bit) for v, bit in zip(_input_vectors(2), xor.truth)]
-    assert _feasible(rows, 3) == 0b1111
-    assert _feasible(rows[:3], 3) == 0
+    assert _feasible(rows, 3) == (0b1111, None)
+    core, point = _feasible(rows[:3], 3)
+    assert core == 0 and point is not None
+
+
+def test_feasible_point_or_core_on_random_systems():
+    # a feasible answer carries a point meeting every row; an infeasible one
+    # a core whose rows alone are infeasible.  Half the systems are built
+    # with no lower bound on x_0, so its back-substitution takes an upper one
+    rng = random.Random(19)
+    outcomes = {True: 0, False: 0}
+    only_upper = 0
+    for trial in range(200):
+        nvars = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            a = [rng.randint(-3, 3) for _ in range(nvars)]
+            if trial % 2:
+                a[0] = -abs(a[0])
+            rows.append((tuple(a), rng.randint(-3, 3)))
+        if trial % 2 and any(a[0] for a, _ in rows):
+            only_upper += 1
+        core, point = _feasible(rows, nvars)
+        outcomes[not core] += 1
+        if core:
+            assert point is None
+            assert core < 1 << len(rows)
+            alone = [row for i, row in enumerate(rows) if core >> i & 1]
+            assert _feasible(alone, nvars)[0]
+        else:
+            x, scale = point
+            assert scale > 0 and all(type(z) is int for z in x)
+            assert all(sum(c * z for c, z in zip(a, x)) >= b * scale for a, b in rows)
+    assert min(outcomes.values()) > 20
+    assert only_upper > 50
 
 
 def test_stored_cores_are_infeasible_alone(monkeypatch):
-    # the walk stores what `_child_core` returns; each core must be
+    # the walk stores the cores `_child_solve` returns; each core must be
     # infeasible alone over the full n + 1 variables, and the hyperplane
     # system must agree with the child's own rows
-    child_core = flagbound.threshold._child_core
+    child_solve = flagbound.threshold._child_solve
     for n in (1, 2, 3):
         calls = []
 
-        def recorded(rows, row):
-            core = child_core(rows, row)
-            calls.append((rows + [row], core))
-            return core
+        def recorded(rows, u):
+            core, y = child_solve(rows, u)
+            calls.append((rows + [(u, 1)], core))
+            return core, y
 
-        monkeypatch.setattr(flagbound.threshold, "_child_core", recorded)
-        count = sum(1 for _ in _threshold_codes(n))
+        monkeypatch.setattr(flagbound.threshold, "_child_solve", recorded)
+        count = sum(1 for _ in _threshold_codes(generate_sign_vectors(n)))
         assert count == (4, 14, 104)[n - 1]
         assert calls
         if n > 1:
             assert any(core for _, core in calls)
         for child_rows, core in calls:
-            assert bool(core) == bool(_feasible(child_rows, n + 1))
+            assert bool(core) == bool(_feasible(child_rows, n + 1)[0])
             if core:
                 assert core >> (len(child_rows) - 1) & 1
                 alone = [row for i, row in enumerate(child_rows) if core >> i & 1]
-                assert _feasible(alone, n + 1)
+                assert _feasible(alone, n + 1)[0]
+
+
+def _grid(k: int, n: int) -> VectorSet:
+    """The points of {0..k-1}^n lifted to (1, x)."""
+    return VectorSet(tuple((1,) + p for p in itertools.product(range(k), repeat=n)), n + 1)
+
+
+def test_census_counts_grid_chambers():
+    # the census counts the chambers of any vector set; on the lifted grids
+    # it must equal the lattice and deletion-restriction
+    for k, n, expected in ((3, 2, 58), (4, 2, 174), (5, 2, 402), (6, 2, 838), (3, 3, 2702)):
+        H = _grid(k, n)
+        census = sum(1 for _ in _threshold_codes(H))
+        assert census == chamber_count(H) == chamber_count_dr(H) == expected
 
 
 def test_negation_half_yields_each_code_once():
-    for n in (1, 2, 3, 4):
-        codes = list(_threshold_codes(n))
-        full = (1 << (1 << n)) - 1
+    sets = [generate_sign_vectors(n) for n in (1, 2, 3, 4)]
+    sets += [random_spanning_set(3, 8, 5), random_spanning_set(4, 9, 6)]
+    for H in sets:
+        codes = list(_threshold_codes(H))
+        full = (1 << len(H)) - 1
         assert len(codes) == len(set(codes))
         assert {full ^ c for c in codes} == set(codes)
         assert 2 * sum(c & 1 for c in codes) == len(codes)
@@ -109,34 +161,23 @@ def test_fm_pair_guard_stops_majority_of_six():
 
 
 def test_witnesses_satisfy_their_prefix(monkeypatch):
-    # the walk hands `_separate` the parent's witness with the child's rows
-    separate = flagbound.threshold._separate
+    # the witness `_child_solve` returns for a feasible child is an integer
+    # point strictly on the positive side of each of the child's rows
+    child_solve = flagbound.threshold._child_solve
     calls = [0]
 
-    def checked(rows, y):
-        assert all(sum(x * z for x, z in zip(u, y)) > 0 for u, _ in rows[:-1])
-        out = separate(rows, y)
-        assert all(type(z) is int for z in out)
-        assert all(sum(x * z for x, z in zip(u, out)) > 0 for u, _ in rows)
-        assert all(sum(x * z for x, z in zip(u, out)) >= b for u, b in rows)
-        calls[0] += 1
-        return out
+    def checked(rows, u):
+        core, y = child_solve(rows, u)
+        if not core:
+            assert all(type(z) is int for z in y)
+            assert all(sum(x * z for x, z in zip(a, y)) > 0 for a, _ in rows + [(u, 1)])
+            calls[0] += 1
+        return core, y
 
-    monkeypatch.setattr(flagbound.threshold, "_separate", checked)
-    for n in (1, 2, 3):
-        assert sum(1 for _ in _threshold_codes(n)) == (4, 14, 104)[n - 1]
+    monkeypatch.setattr(flagbound.threshold, "_child_solve", checked)
+    for H in (generate_sign_vectors(3), random_spanning_set(3, 8, 5), _grid(4, 2)):
+        assert sum(1 for _ in _threshold_codes(H)) == chamber_count(H)
     assert calls[0] > 0
-
-
-def test_separate_stops_on_infeasible_rows():
-    # XOR's margin rows have no strict solution, so the perceptron never
-    # settles; the round cap turns that into an error, not a hang
-    xor = BooleanFunction(2, (0, 1, 1, 0))
-    rows = [_margin_row(v, bit) for v, bit in zip(_input_vectors(2), xor.truth)]
-    start = time.monotonic()
-    with pytest.raises(RuntimeError):
-        _separate(rows, (1, 0, 0))
-    assert time.monotonic() - start < 1
 
 
 def test_negation_closure():
