@@ -280,21 +280,15 @@ class FlatTable:
 
 
 class IntersectionLattice:
-    """The flats of one FlatTable, named by their ids and ordered by
-    inclusion, with Mobius values from the zero flat.
+    """The Mobius values from the zero flat of the flats of one FlatTable,
+    indexed by flat id.
 
-    mobius[fid] satisfies mu(0) = 1 and, for t > 0, sum_{s <= t} mu(s) = 0.
+    mobius[fid] satisfies mu(0) = 1 and, for t > 0, sum_{s <= t} mu(s) = 0,
+    where s <= t is containment of member masks.
     """
 
-    def __init__(self, table: FlatTable, mobius: list[int]):
-        # The masks, not the table: the table holds on to this lattice.
-        self._masks = table.masks
+    def __init__(self, mobius: list[int]):
         self.mobius = mobius
-
-    def leq(self, s: int, t: int) -> bool:
-        """Containment of member masks, which for flats coincides with
-        subspace inclusion."""
-        return self._masks[s] & ~self._masks[t] == 0
 
     def chamber_count(self) -> int:
         return sum(abs(m) for m in self.mobius)
@@ -343,7 +337,7 @@ def build_lattice(H: VectorSet, table: FlatTable | None = None) -> IntersectionL
     if table._lattice is None:
         chains = decreasing_chains(table, range(len(H)))
         mobius = [-c if dim & 1 else c for c, dim in zip(chains, table.dims)]
-        table._lattice = IntersectionLattice(table, mobius)
+        table._lattice = IntersectionLattice(mobius)
     return table._lattice
 
 

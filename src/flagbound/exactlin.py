@@ -1,36 +1,17 @@
-"""Exact rational linear algebra: ranks, canonical subspace bases, membership.
-
-Everything here is exact.  Subspaces are identified by their reduced
-row-echelon basis, which is unique, so two bases describe the same subspace
-iff they compare equal.  Internally rows are kept as primitive integer
-vectors (content 1, positive pivot); the rational RREF with unit pivots is
-recovered by dividing each row by its pivot entry.  The primitive form and
-the rational RREF determine each other, so hashing on either is equivalent.
+"""Exact integer linear algebra: primitive vectors and ranks.
 
 All values are immutable; operations are pure functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Sequence
 
 Vector = tuple[int, ...]
 
-__all__ = [
-    "Vector",
-    "SubspaceBasis",
-    "span",
-    "contains",
-    "rank",
-    "primitive",
-]
-
-
-def _as_vector(v: Sequence[int]) -> Vector:
-    return tuple(int(x) for x in v)
+__all__ = ["Vector", "primitive", "rank"]
 
 
 def primitive(v: Sequence[int]) -> Vector:
@@ -52,124 +33,38 @@ def primitive(v: Sequence[int]) -> Vector:
     return tuple(x // g for x in v)
 
 
-def _pivot_col(row: Vector) -> int:
-    for j, x in enumerate(row):
-        if x != 0:
-            return j
-    raise ValueError("zero row has no pivot")
+def rank(vectors: Sequence[Sequence[int]]) -> int:
+    """Rank of a list of integer vectors of one length, viewed as a matrix.
 
-
-def _reduce(rows: Sequence[tuple[int, Vector]], v: Sequence[int]) -> list[int]:
-    """Reduce v against echelon rows, given as (pivot column, row) pairs,
-    by fraction-free elimination.
-
-    Returns an integer vector; it is zero iff v lies in the row span.
+    One fraction-free echelon elimination (Bareiss 1968), keeping each
+    primitive row beside its pivot column, that stops once the rows fill
+    the whole space.  The rank does not depend on the order the vectors are
+    reduced in, so index 0 and the powers of two below the count go first:
+    on the sign vectors E_n the first 2^(n-1) lie in one hyperplane, and
+    those n + 1 already span.
     """
-    w = list(v)
-    for c, row in rows:
-        wc = w[c]
-        if wc:
-            p = row[c]
-            w = [p * a - wc * b for a, b in zip(w, row)]
-    return w
-
-
-def _insert(
-    rows: list[tuple[int, Vector]], v: Sequence[int]
-) -> list[tuple[int, Vector]]:
-    """Absorb v into an RREF row set of (pivot column, row) pairs; the
-    rows come back unchanged when v already lies in their span."""
-    w = _reduce(rows, v)
-    if not any(w):
-        return rows
-    new = primitive(w)
-    c = _pivot_col(new)
-    # Clear the new pivot column in the existing rows to restore full RREF;
-    # a row with a nonzero there has its pivot left of c, so it keeps it.
-    fixed = []
-    for pivot, row in rows:
-        if row[c]:
-            p = new[c]
-            rc = row[c]
-            row = primitive(tuple(p * a - rc * b for a, b in zip(row, new)))
-        fixed.append((pivot, row))
-    fixed.append((c, new))
-    fixed.sort()
-    return fixed
-
-
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Canonical basis of a linear subspace of Q^d.
-
-    ``rows`` holds the primitive integer form of the reduced row-echelon
-    basis; ``basis`` exposes the rational RREF itself (unit pivots).  The
-    zero subspace has an empty row set.
-    """
-
-    ambient_dim: int
-    rows: tuple[Vector, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    @property
-    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The rational reduced row-echelon basis with pivot entries 1."""
-        out = []
-        for row in self.rows:
-            p = row[_pivot_col(row)]
-            out.append(tuple(Fraction(x, p) for x in row))
-        return tuple(out)
-
-    def __contains__(self, v: Sequence[int]) -> bool:
-        return contains(self, v)
-
-
-def _common_dim(vectors: Sequence[Sequence[int]], ambient_dim: int | None) -> int:
-    if vectors:
-        d = len(vectors[0])
-        for v in vectors:
-            if len(v) != d:
-                raise ValueError(f"mixed vector lengths {d} and {len(v)}")
-        if ambient_dim is not None and ambient_dim != d:
-            raise ValueError(f"vectors of length {d} with ambient_dim={ambient_dim}")
-        return d
-    if ambient_dim is None:
-        raise ValueError("ambient_dim is required for an empty span")
-    return ambient_dim
-
-
-def span(
-    vectors: Sequence[Sequence[int]], ambient_dim: int | None = None
-) -> SubspaceBasis:
-    """Canonical basis of the linear span of integer vectors.
-
-    An empty input yields the zero subspace; its ambient dimension must then
-    be given explicitly.
-    """
-    d = _common_dim(vectors, ambient_dim)
-    if d < 1:
-        raise ValueError(f"ambient dimension must be >= 1, got {d}")
+    if not vectors:
+        return 0
+    d = len(vectors[0])
+    count = len(vectors)
+    order = chain(
+        (0,),
+        (1 << j for j in range((count - 1).bit_length())),
+        (i for i in range(count) if i & (i - 1)),
+    )
     rows: list[tuple[int, Vector]] = []
-    for v in vectors:
-        rows = _insert(rows, _as_vector(v))
-        if len(rows) == d:  # the whole space: its RREF is the identity
+    for i in order:
+        if len(rows) == d:
             break
-    return SubspaceBasis(d, tuple(row for _, row in rows))
-
-
-def contains(s: SubspaceBasis, v: Sequence[int]) -> bool:
-    """Exact membership test; the zero vector lies in every subspace."""
-    if len(v) != s.ambient_dim:
-        raise ValueError(
-            f"vector of length {len(v)} against ambient dimension {s.ambient_dim}"
-        )
-    rows = [(_pivot_col(row), row) for row in s.rows]
-    return not any(_reduce(rows, _as_vector(v)))
-
-
-def rank(vectors: Sequence[Sequence[int]], ambient_dim: int | None = None) -> int:
-    """Rank of the vector list viewed as a matrix."""
-    return span(vectors, ambient_dim).dim
+        w = vectors[i]
+        if len(w) != d:
+            raise ValueError(f"mixed vector lengths {d} and {len(w)}")
+        for c, row in rows:
+            wc = w[c]
+            if wc:
+                p = row[c]
+                w = [p * a - wc * b for a, b in zip(w, row)]
+        if any(w):
+            w = primitive(w)
+            rows.append((next(j for j, x in enumerate(w) if x), w))
+    return len(rows)

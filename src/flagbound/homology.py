@@ -114,6 +114,9 @@ def _proper_span_layers(
                     if table.masks[g] & ~mask == 0
                 ]
             pools = lower
+        # combinations(pool, k) fills k index slots before it checks the
+        # pool's size, so a pool smaller than k is dropped here.
+        pools = [pool for pool in pools if len(pool) >= k]
         nonzeros += sum(k * comb(len(pool), k) for pool in pools)
         if nonzeros > MAX_BOUNDARY_NONZEROS:
             raise GuardError(

@@ -1,9 +1,30 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from flagbound.arrangement import FlatTable, VectorSet, generate_sign_vectors
 from flagbound.exactlin import primitive, rank
+
+
+def fraction_rref(vectors):
+    """Naive oracle: reduced row echelon form over Fraction, unit pivots.
+    It is canonical, so two lists span one subspace iff their forms agree."""
+    rows = [list(map(Fraction, v)) for v in vectors]
+    width = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(width):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return [tuple(row) for row in rows[:r]]
 
 
 def random_spanning_set(dim: int, count: int, seed: int, bound: int = 3) -> VectorSet:

@@ -161,6 +161,14 @@ def test_homology_explicit_degree(capsys):
     assert json.loads(out)["degree"] == 0
 
 
+def test_homology_huge_degree_is_rank_zero(capsys):
+    code, out, err = run(
+        capsys, ["homology", "--n", "2", "--degree", str(10**15), "--format", "json"])
+    assert code == 0
+    assert err == ""
+    assert json.loads(out) == {"n": 2, "degree": 10**15, "field": "2", "rank": "0"}
+
+
 def test_homology_default_degree_minus_one(capsys, tmp_path):
     # One vector in R^1: the default degree d - 2 is -1, where the reduced
     # complex holds only the empty simplex, so the rank is 1, equal to λ.

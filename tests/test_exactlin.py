@@ -1,68 +1,55 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-import flagbound.exactlin
-from flagbound.exactlin import (
-    SubspaceBasis,
-    contains,
-    primitive,
-    rank,
-    span,
-)
+from flagbound.arrangement import generate_sign_vectors
+from flagbound.exactlin import primitive, rank
+
+from conftest import fraction_rref
 
 
-def fraction_rref(vectors):
-    """Naive oracle: reduced row echelon form over Fraction, unit pivots."""
-    rows = [list(map(Fraction, v)) for v in vectors]
-    width = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(width):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return [tuple(row) for row in rows[:r]]
+class CountingReads:
+    """A sequence that counts how many of its elements are read."""
+
+    def __init__(self, items):
+        self.items = items
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.items[i]
+
+    def __iter__(self):
+        for v in self.items:
+            self.reads += 1
+            yield v
 
 
 def test_span_empty_is_zero_subspace():
-    s = span([], ambient_dim=2)
-    assert s.dim == 0
-    assert s.rows == ()
-
-
-def test_span_of_plane_is_identity_rows():
-    s = span([(1, 1), (1, -1)])
-    assert s.dim == 2
-    assert s.basis == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    assert rank([]) == 0
 
 
 def test_span_of_parallel_vectors():
-    s = span([(1, 1, 1), (2, 2, 2)])
-    assert s.dim == 1
-    assert s.basis == ((Fraction(1), Fraction(1), Fraction(1)),)
+    assert rank([(1, 1, 1), (2, 2, 2)]) == 1
 
 
 def test_contains_zero_vector_everywhere():
-    assert contains(span([], ambient_dim=2), (0, 0))
-    assert contains(span([(1, 1)]), (0, 0))
+    # v lies in the span of S iff rank(S + [v]) == rank(S)
+    assert rank([(0, 0)]) == rank([]) == 0
+    assert rank([(1, 1), (0, 0)]) == rank([(1, 1)]) == 1
 
 
 def test_contains_rejects_outside_vector():
-    s = span([(1, 1, 1), (1, 1, -1)])
-    assert not contains(s, (1, -1, 1))
+    s = [(1, 1, 1), (1, 1, -1)]
+    assert rank(s + [(1, -1, 1)]) == rank(s) + 1
 
 
 def test_contains_accepts_combination():
-    s = span([(1, 1, 1, 1), (1, 1, -1, 1), (1, -1, 1, 1)])
-    assert contains(s, (1, -1, -1, 1))
+    s = [(1, 1, 1, 1), (1, 1, -1, 1), (1, -1, 1, 1)]
+    assert rank(s + [(1, -1, -1, 1)]) == rank(s) == 3
 
 
 def test_rank_examples():
@@ -71,28 +58,29 @@ def test_rank_examples():
     assert rank([(1, 1), (-1, -1)]) == 1
 
 
-def test_span_stops_at_full_rank(monkeypatch):
-    # Once d rows are held the span is the whole space, so the vectors after
-    # them are not reduced.
-    calls = []
-    insert = flagbound.exactlin._insert
-    monkeypatch.setattr(
-        flagbound.exactlin, "_insert", lambda rows, v: calls.append(v) or insert(rows, v)
-    )
-    vecs = [(1, 1, 0), (2, 2, 0), (0, 1, 0), (0, 3, 5)] + [(k, 1, 2) for k in range(50)]
-    assert span(vecs).rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert len(calls) == 4
+def test_span_stops_at_full_rank():
+    # Once d rows are held they span the whole space, so no later vector is
+    # read: here the width, then indices 0, 1, 2 and 4.
+    vecs = CountingReads(
+        [(1, 1, 0), (2, 2, 0), (0, 1, 0), (0, 3, 5)] + [(k, 1, 2) for k in range(50)])
     assert rank(vecs) == 3
-    assert len(calls) == 8
+    assert vecs.reads == 5
+
+
+def test_rank_of_sign_vectors_reads_n_plus_two():
+    # E_n's first 2^(n-1) vectors lie in the hyperplane x_0 = x_1, but index
+    # 0 and the powers of two span R^(n+1).
+    n = 12
+    vecs = CountingReads(generate_sign_vectors(n).vectors)
+    assert rank(vecs) == n + 1
+    assert vecs.reads <= n + 2
 
 
 def test_dimension_mismatch_errors():
     with pytest.raises(ValueError):
-        span([(1, 1), (1, 1, 1)])
+        rank([(1, 1), (1, 1, 1)])
     with pytest.raises(ValueError):
-        span([], ambient_dim=None)
-    with pytest.raises(ValueError):
-        contains(span([(1, 1)]), (1, 1, 1))
+        rank([(1, 0), (0, 1, 5)])
 
 
 def test_primitive_normalization():
@@ -102,68 +90,46 @@ def test_primitive_normalization():
     assert primitive((0, -3, 9)) == (0, 1, -3)
 
 
-def test_canonical_idempotence_and_permutation_invariance():
-    rng = random.Random(11)
-    for _ in range(50):
+def test_exactness_against_fraction_oracle():
+    # Random lists, rank-deficient ones (combinations of fewer than d
+    # vectors) and ones whose last vector leaves the hyperplane spanned by
+    # the rest, with entries up to 10^6 in size; each also shuffled.
+    rng = random.Random(7)
+
+    def draw(d, bound):
+        return tuple(rng.randint(-bound, bound) for _ in range(d))
+
+    def combinations_of(basis, count, d):
+        out = []
+        for _ in range(count):
+            coefs = [rng.randint(-3, 3) for _ in basis]
+            out.append(tuple(sum(c * b[j] for c, b in zip(coefs, basis)) for j in range(d)))
+        return out
+
+    cases = [[]]
+    while len(cases) < 240:
         d = rng.randint(1, 5)
-        vecs = [
-            tuple(rng.randint(-10, 10) for _ in range(d))
-            for _ in range(rng.randint(0, 6))
-        ]
-        s = span(vecs, ambient_dim=d)
-        again = span([tuple(int(x * r[0].denominator) for x in r) for r in s.basis]
-                     or [], ambient_dim=d)
-        assert span(s.rows, ambient_dim=d) == s
-        assert again.dim == s.dim
+        bound = rng.choice((1, 10, 10**6))
+        kind = len(cases) % 3
+        if kind == 0:
+            vecs = [draw(d, bound) for _ in range(rng.randint(1, 7))]
+        elif kind == 1:
+            basis = [draw(d, bound) for _ in range(rng.randint(0, d - 1))]
+            vecs = combinations_of(basis, rng.randint(1, 7), d)
+            assert len(fraction_rref(vecs)) < d
+        else:
+            basis = [draw(d, bound) for _ in range(d - 1)]
+            vecs = combinations_of(basis, rng.randint(d - 1, 7), d) + [draw(d, bound)]
+            if len(fraction_rref(vecs[:-1])) != d - 1 or len(fraction_rref(vecs)) != d:
+                continue
+        cases.append(vecs)
+    full_at_last = 0
+    for vecs in cases:
+        want = len(fraction_rref(vecs))
+        assert rank(vecs) == want
         shuffled = vecs[:]
         rng.shuffle(shuffled)
-        assert span(shuffled, ambient_dim=d) == s
-        for v in vecs:
-            assert contains(s, v)
-
-
-def test_exactness_against_fraction_oracle():
-    rng = random.Random(7)
-    for _ in range(60):
-        d = rng.randint(1, 5)
-        vecs = [
-            tuple(rng.randint(-10, 10) for _ in range(d))
-            for _ in range(rng.randint(0, 7))
-        ]
-        oracle = fraction_rref(vecs)
-        s = span(vecs, ambient_dim=d)
-        assert s.dim == len(oracle)
-        assert list(s.basis) == oracle
-
-
-def test_subspace_identity_is_field_equality():
-    a = span([(1, 2, 3), (0, 1, 1)])
-    b = span([(1, 3, 4), (2, 5, 7)])
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a.rows == b.rows
-
-
-def test_membership_operator():
-    s = span([(1, 0, 1)])
-    assert (2, 0, 2) in s
-    assert (1, 1, 1) not in s
-
-
-def test_basis_rows_are_unit_pivot_rref():
-    s = span([(2, 4, 2), (2, 0, 0)])
-    for row in s.basis:
-        lead = next(x for x in row if x)
-        assert lead == 1
-    cols = [next(j for j, x in enumerate(row) if x) for row in s.basis]
-    assert cols == sorted(cols)
-    for j, c in enumerate(cols):
-        assert [row[c] for row in s.basis].count(1) == 1
-        assert all(s.basis[i][c] == 0 for i in range(len(cols)) if i != j)
-
-
-def test_zero_subspace_first_class():
-    z = SubspaceBasis(3, ())
-    assert z.dim == 0
-    assert contains(z, (0, 0, 0))
-    assert not contains(z, (1, 0, 0))
+        assert rank(shuffled) == want
+        if vecs and want == len(vecs[0]) > len(fraction_rref(vecs[:-1])):
+            full_at_last += 1
+    assert full_at_last >= 60

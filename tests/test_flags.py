@@ -14,7 +14,7 @@ from flagbound.arrangement import (
     generate_sign_vectors,
 )
 from flagbound.errors import GuardError
-from flagbound.exactlin import span
+from flagbound.exactlin import rank
 from flagbound.flags import (
     IndexTuple,
     OrderPermutation,
@@ -235,14 +235,14 @@ def suffix_minimal_tuples(H, order, include_first_condition):
         idx = t.indices
         ok = True
         for l in range(len(idx)):
-            s = span([vecs[i] for i in idx[l:]])
-            members = [i for i in range(len(vecs)) if vecs[i] in s]
+            sub = [vecs[i] for i in idx[l:]]
+            members = [i for i in range(len(vecs)) if rank(sub + [vecs[i]]) == rank(sub)]
             if order.minimum(members) != idx[l]:
                 ok = False
                 break
         if ok and include_first_condition:
-            top = span([vecs[i] for i in idx])
-            if vecs[order.first] in top:
+            top = [vecs[i] for i in idx]
+            if rank(top + [vecs[order.first]]) == rank(top):
                 ok = False
         if ok and not include_first_condition:
             if any(order.position[i] == 0 for i in idx):
@@ -302,9 +302,9 @@ def test_count_admissible_orders_random_sets():
         H = random_spanning_set(dim, count, seed)
         vecs = list(H)
         for W, f in ((t.indices, f) for t, f in enumerate_tuples(H)):
-            top = span([vecs[i] for i in W])
+            top = [vecs[i] for i in W]
             for i in range(len(vecs)):
-                if vecs[i] in top:
+                if rank(top + [vecs[i]]) == rank(top):
                     continue
                 assert (count_admissible_orders(H, W, i)
                         * f.product == math.factorial(len(vecs) - 1))

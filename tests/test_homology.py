@@ -132,12 +132,27 @@ def test_exact_kernel_matches_exactlin_rank():
         dense = [[rng.choice((0, 0, 1, -1, 2, -3, 4)) for _ in range(rows)]
                  for _ in range(cols)]
         sparse = [{r: v for r, v in enumerate(col) if v} for col in dense]
-        assert len(_pivots(sparse, "Q")) == rank(dense, rows)
+        assert len(_pivots(sparse, "Q")) == rank(dense)
 
 
 def test_empty_degree_gives_zero():
     H = generate_sign_vectors(2)
     assert homology_rank(H, 5) == 0
+
+
+def test_degree_above_pool_sizes_takes_no_combinations(monkeypatch):
+    # combinations(pool, k) fills k index slots before it checks the pool's
+    # size, so a degree of 10^8 or more would fill gigabytes.
+    real = flagbound.homology.combinations
+
+    def checked(pool, r):
+        assert r <= len(pool), f"combinations of {r} from a pool of {len(pool)}"
+        return real(pool, r)
+
+    monkeypatch.setattr(flagbound.homology, "combinations", checked)
+    H = generate_sign_vectors(2)
+    assert homology_rank(H, 99999999999999) == 0
+    assert homology_rank(H, 1) == 3
 
 
 def test_reduced_vs_unreduced():
