@@ -23,7 +23,8 @@ AND = BooleanFunction(2, (0, 0, 0, 1))
 XOR = BooleanFunction(2, (0, 1, 1, 0))
 print(f"AND is threshold: {is_threshold(AND)}")
 print(f"XOR is threshold: {is_threshold(XOR)}")
-print(f"negated XOR is threshold: {is_threshold(XOR.negated())}")
+NOT_XOR = BooleanFunction(2, tuple(1 - b for b in XOR.truth))
+print(f"negated XOR is threshold: {is_threshold(NOT_XOR)}")
 
 for n in (1, 2, 3):
     print(f"threshold functions of {n} variables: "

@@ -8,6 +8,7 @@ oracle against it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
@@ -80,6 +81,8 @@ class VectorSet:
     ambient_dim: int
 
     def __post_init__(self):
+        if not self.vectors:
+            raise ValueError("empty vector set")
         d = self.ambient_dim
         seen: dict[Vector, int] = {}
         for i, v in enumerate(self.vectors):
@@ -101,9 +104,7 @@ class VectorSet:
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]]) -> "VectorSet":
         vecs = tuple(tuple(int(x) for x in row) for row in rows)
-        if not vecs:
-            raise ValueError("empty vector set")
-        return cls(vecs, len(vecs[0]))
+        return cls(vecs, len(vecs[0]) if vecs else 0)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -125,11 +126,8 @@ def generate_sign_vectors(n: int) -> VectorSet:
     """
     if not 1 <= n <= SIGN_VECTORS_MAX_N:
         raise GuardError("generate_sign_vectors.n", f"1 <= n <= {SIGN_VECTORS_MAX_N}", n)
-    vecs = []
-    for k in range(1 << n):
-        bits = [(k >> (n - 1 - j)) & 1 for j in range(n)]
-        vecs.append((1,) + tuple(1 - 2 * b for b in bits))
-    return VectorSet(tuple(vecs), n + 1)
+    vecs = tuple((1,) + b for b in itertools.product((1, -1), repeat=n))
+    return VectorSet(vecs, n + 1)
 
 
 def schlafli_bound(n: int) -> int:

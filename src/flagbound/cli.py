@@ -221,7 +221,10 @@ def _verify_one(n: int, level: str) -> list[dict]:
         return ok, f"mean {mean}, stderr {err}"
 
     def bound_chain():
-        rep = threshold.bounds_report(n, table=table)
+        try:
+            rep = threshold.bounds_report(n, table=table)
+        except RuntimeError as exc:
+            return False, str(exc)
         parts = [str(rep.lower_bound), str(rep.chambers), str(rep.schlafli)]
         return True, " <= ".join(parts)
 
@@ -366,8 +369,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
-        # bounds_report raises this when a link of the bound chain fails:
-        # a failed check, not a usage error.
+        # bounds_report raises this in `report` when a link of the bound
+        # chain fails: a failed check, not a usage error.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if ok else 1

@@ -43,7 +43,6 @@ __all__ = [
     "count_admissible_orders",
     "monte_carlo_expectation",
     "read_weight_vector",
-    "write_weight_vector",
 ]
 
 ADMISSIBLE_ORDERS_MAX_T = 8
@@ -136,48 +135,23 @@ def _as_weights(p, count: int) -> WeightVector:
 
 @dataclass(frozen=True)
 class OrderPermutation:
-    """Total order on vector indices, stored with its inverse.
-
-    order[k] is the index ranked k; position[i] is the rank of index i.
-    """
+    """Total order on vector indices: order[k] is the index ranked k."""
 
     order: tuple[int, ...]
-    position: tuple[int, ...]
 
     def __post_init__(self):
-        t = len(self.order)
-        if len(self.position) != t or any(
-            self.position[self.order[k]] != k for k in range(t)
-        ):
-            raise ValueError("position is not the inverse of order")
-
-    @classmethod
-    def from_order(cls, order: Sequence[int]) -> "OrderPermutation":
-        order = tuple(order)
-        if sorted(order) != list(range(len(order))):
-            raise ValueError(f"{order} is not a permutation of 0..{len(order) - 1}")
-        position = [0] * len(order)
-        for k, i in enumerate(order):
-            position[i] = k
-        return cls(order, tuple(position))
+        if sorted(self.order) != list(range(len(self.order))):
+            raise ValueError(f"{self.order} is not a permutation of 0..{len(self.order) - 1}")
 
     @classmethod
     def identity(cls, count: int) -> "OrderPermutation":
-        idx = tuple(range(count))
-        return cls(idx, idx)
+        return cls(tuple(range(count)))
 
     @classmethod
     def random(cls, count: int, seed: int) -> "OrderPermutation":
         order = list(range(count))
         random.Random(seed).shuffle(order)
-        return cls.from_order(order)
-
-    @property
-    def first(self) -> int:
-        return self.order[0]
-
-    def minimum(self, indices: Iterable[int]) -> int:
-        return min(indices, key=self.position.__getitem__)
+        return cls(tuple(order))
 
     def __len__(self) -> int:
         return len(self.order)
@@ -306,9 +280,10 @@ def minimal_tuple_count(
     Each qualifying tuple is reconstructed from its chain of suffix spans:
     per chain at most one tuple qualifies (the minimal member at each step
     is unique), and one does exactly when every step adds the minimal
-    member of the span it reaches.  So the count is the sum of the
-    decreasing chains (arrangement.decreasing_chains) over the coatoms
-    that miss the order-first vector.
+    member of the span it reaches.  So the count is the number of
+    decreasing chains (arrangement.decreasing_chains) into the top flat,
+    the last flat by id: their last step adds the order-first vector, so
+    the coatom it leaves misses that vector.
     """
     table = ensure_table(H, table)
     T = len(H)
@@ -316,14 +291,7 @@ def minimal_tuple_count(
         order = OrderPermutation.identity(T)
     if len(order) != T:
         raise ValueError(f"order on {len(order)} indices, set has {T}")
-    chains = decreasing_chains(table, order.order)
-    n = H.ambient_dim - 1
-    first = 1 << order.first
-    return sum(
-        count
-        for count, mask, dim in zip(chains, table.masks, table.dims)
-        if dim == n and not mask & first
-    )
+    return decreasing_chains(table, order.order)[-1]
 
 
 def _qualifies(
@@ -356,11 +324,12 @@ def minimal_tuples(
         order = OrderPermutation.identity(len(H))
     if len(order) != len(H):
         raise ValueError(f"order on {len(order)} indices, set has {len(H)}")
-    pos = order.position
-    first = order.first
+    pos = [0] * len(H)
+    for k, j in enumerate(order.order):
+        pos[j] = k
     out = set()
     for it, _ in enumerate_tuples(H, table):
-        if _qualifies(table, it.indices, pos, first):
+        if _qualifies(table, it.indices, pos, order.order[0]):
             out.add(it)
     return out
 
@@ -435,7 +404,7 @@ def monte_carlo_expectation(
         i = bisect_right(cumulative, rng.randrange(denom))
         rest = [j for j in range(T) if j != i]
         rng.shuffle(rest)
-        order = OrderPermutation.from_order([i, *rest])
+        order = OrderPermutation((i, *rest))
         value = minimal_tuple_count(H, order, table)
         total += value
         total_sq += value * value
@@ -446,19 +415,6 @@ def monte_carlo_expectation(
     else:
         stderr = 0.0
     return mean, stderr
-
-
-def write_weight_vector(target: str | TextIO, p: WeightVector) -> None:
-    """One exact rational per line, integers without the /1."""
-    def _emit(fh: TextIO) -> None:
-        for w in p:
-            fh.write(f"{w}\n")
-
-    if isinstance(target, str):
-        with open(target, "w", encoding="ascii") as fh:
-            _emit(fh)
-    else:
-        _emit(target)
 
 
 def read_weight_vector(source: str | TextIO) -> WeightVector:

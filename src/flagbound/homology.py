@@ -140,15 +140,13 @@ def _boundary_columns(
     """Signed incidence of each simplex with its one-smaller faces, as one
     {face row: +-1} column per simplex.  Faces are looked up in `index` by
     member bitmask (`masks` gives the simplices'): dropping a vertex clears
-    one bit."""
+    one bit, and every face of a proper-span set has a proper span."""
     columns = []
     for s, mask in zip(simplices, masks):
         col = {}
         sign = 1
         for i in s:
-            row = index.get(mask ^ 1 << i)
-            if row is not None:
-                col[row] = sign
+            col[index[mask ^ 1 << i]] = sign
             sign = -sign
         columns.append(col)
     return tuple(columns)

@@ -78,9 +78,6 @@ class BooleanFunction:
             raise ValueError(f"code {code} out of range for n={n}")
         return cls(n, tuple((code >> k) & 1 for k in range(size)))
 
-    def negated(self) -> "BooleanFunction":
-        return BooleanFunction(self.n, tuple(1 - b for b in self.truth))
-
 
 def _normalized(a: tuple[int, ...], b: int) -> tuple[tuple[int, ...], int]:
     g = gcd(*a, b)

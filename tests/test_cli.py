@@ -373,13 +373,62 @@ def test_guard_exit_code(capsys):
 @pytest.mark.parametrize("argv", [["report", "--n", "2"],
                                   ["verify", "--n", "2"]])
 def test_failed_bound_chain_exit_code(capsys, monkeypatch, argv):
+    # report stops on the failed link; verify prints it as its bound-chain
+    # check's FAIL line and keeps the other checks
     monkeypatch.setattr(flagbound.threshold, "count_threshold_functions",
                         lambda n: 13)
     code, out, err = run(capsys, argv)
     assert code == 1
-    assert out == ""
-    assert err.startswith("error: census 13 != chamber count 14")
     assert "Traceback" not in err
+    if argv[0] == "report":
+        assert out == ""
+        assert err.startswith("error: census 13 != chamber count 14")
+    else:
+        assert err == ""
+        assert "FAIL n=2 bound-chain: census 13 != chamber count 14\n" in out
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("schlafli_bound", 1, "bound chain violated: 6 <= 14 <= 1"),
+    ("minimal_tuple_count", 4, "flag sum bound 6 != tuple bound 8"),
+])
+def test_report_link_failure_exit_code(capsys, monkeypatch, name, value, message):
+    monkeypatch.setattr(flagbound.threshold, name, lambda *args, **kwargs: value)
+    code, out, err = run(capsys, ["report", "--n", "2", "--format", "json"])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verify_keeps_checks_after_failed_link(capsys, monkeypatch):
+    monkeypatch.setattr(flagbound.threshold, "schlafli_bound", lambda n: 1)
+    code, out, err = run(capsys, ["verify", "--level", "fast"])
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "failures above"
+    failed = [ln for ln in lines[:-1] if not ln.startswith("PASS ")]
+    assert failed == ["FAIL n=1 bound-chain: bound chain violated: 2 <= 4 <= 1",
+                      "FAIL n=2 bound-chain: bound chain violated: 6 <= 14 <= 1",
+                      "FAIL n=3 bound-chain: bound chain violated: 46 <= 104 <= 1"]
+    assert len(lines) > len(failed) + 1
+    code, out, err = run(capsys, ["verify", "--level", "fast", "--format", "json"])
+    assert code == 1
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert [(c["n"], c["name"]) for c in payload["checks"] if not c["ok"]] == [
+        (1, "bound-chain"), (2, "bound-chain"), (3, "bound-chain")]
+
+
+@pytest.mark.parametrize("sub", ["chambers", "lambda", "homology"])
+def test_empty_vector_set_file_exit_code(capsys, tmp_path, sub):
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n")
+    code, out, err = run(capsys, [sub, "--input", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err == "error: empty vector set\n"
 
 
 def test_missing_source_exit_code(capsys):

@@ -28,7 +28,6 @@ from flagbound.flags import (
     minimal_tuples,
     monte_carlo_expectation,
     read_weight_vector,
-    write_weight_vector,
 )
 
 from conftest import random_spanning_set
@@ -198,6 +197,28 @@ def test_decreasing_chains_are_mobius_flat_by_flat(sign_tables):
             assert chains == [abs(mu) for mu in mobius]
 
 
+def test_top_flat_chains_are_the_coatom_sum(sign_tables):
+    # lambda is the decreasing chains into the top flat, the last flat by
+    # id: their last step adds the order-first vector, so they are the
+    # decreasing chains into the coatoms that miss it, summed
+    cases = [sign_tables[n] for n in (1, 2, 3, 4)]
+    H5 = generate_sign_vectors(5)
+    cases.append((H5, FlatTable(H5)))
+    for dim, base, seed in ((3, 5, 70), (4, 6, 80)):  # criterion 10's sets
+        for k in range(10):
+            H = random_spanning_set(dim, base + k % 4, seed + k)
+            cases.append((H, FlatTable(H)))
+    for H, table in cases:
+        d = H.ambient_dim
+        for s in range(5):
+            order = OrderPermutation.random(len(H), s).order
+            chains = decreasing_chains(table, order)
+            assert table.dims.count(d) == 1 and table.dims[-1] == d
+            assert chains[-1] == sum(
+                c for c, mask, dim in zip(chains, table.masks, table.dims)
+                if dim == d - 1 and not mask >> order[0] & 1)
+
+
 def test_walked_table_numbers_flats_like_a_fresh_one():
     # Covers are built in id order, so flat ids ascend with dimension after
     # a depth-first tuple walk or random extend steps, and the walked table
@@ -231,21 +252,22 @@ def suffix_minimal_tuples(H, order, include_first_condition):
     vector of H to fall outside the tuple's span."""
     out = set()
     vecs = list(H)
+    first = order.order[0]
     for t, _ in enumerate_tuples(H):
         idx = t.indices
         ok = True
         for l in range(len(idx)):
             sub = [vecs[i] for i in idx[l:]]
             members = [i for i in range(len(vecs)) if rank(sub + [vecs[i]]) == rank(sub)]
-            if order.minimum(members) != idx[l]:
+            if min(members, key=order.order.index) != idx[l]:
                 ok = False
                 break
         if ok and include_first_condition:
             top = [vecs[i] for i in idx]
-            if rank(top + [vecs[order.first]]) == rank(top):
+            if rank(top + [vecs[first]]) == rank(top):
                 ok = False
         if ok and not include_first_condition:
-            if any(order.position[i] == 0 for i in idx):
+            if first in idx:
                 ok = False
         if ok:
             out.add(t)
@@ -270,7 +292,7 @@ def test_minimal_tuples_positions_increase():
     for s in range(3):
         order = OrderPermutation.random(len(H), s)
         for t in minimal_tuples(H, order):
-            pos = [order.position[i] for i in t.indices]
+            pos = [order.order.index(i) for i in t.indices]
             assert pos == sorted(pos)
             assert all(q >= 1 for q in pos)
 
@@ -367,24 +389,22 @@ def test_index_tuple_validation():
 
 
 def test_order_permutation_validation():
-    o = OrderPermutation.from_order((2, 0, 1))
-    assert o.position == (1, 2, 0)
-    assert o.first == 2
-    assert o.minimum((0, 1)) == 0
+    assert OrderPermutation((2, 0, 1)).order == (2, 0, 1)
+    assert len(OrderPermutation((2, 0, 1))) == 3
     assert OrderPermutation.identity(3).order == (0, 1, 2)
-    with pytest.raises(ValueError):
-        OrderPermutation.from_order((0, 0, 1))
-    with pytest.raises(ValueError):
-        OrderPermutation((0, 1), (1, 0))
+    for bad in ((0, 0, 1), (1, 2), (0, 1, 3), (-1, 0)):
+        with pytest.raises(ValueError):
+            OrderPermutation(bad)
     assert (OrderPermutation.random(6, 4).order
             == OrderPermutation.random(6, 4).order)
+    assert sorted(OrderPermutation.random(6, 4).order) == list(range(6))
 
 
 def test_weight_file_roundtrip(tmp_path):
     p = WeightVector.from_items(
         [Fraction(1, 3), Fraction(1, 6), Fraction(3, 2), Fraction(-1)])
     path = tmp_path / "w.txt"
-    write_weight_vector(str(path), p)
+    path.write_text("1/3\n1/6\n3/2\n-1\n", encoding="ascii")
     assert read_weight_vector(str(path)) == p
 
 
