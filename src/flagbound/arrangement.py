@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence, TextIO
 
 from .errors import GuardError
@@ -43,11 +45,16 @@ SCHLAFLI_MAX_N = 62
 MAX_FLATS = 600_000
 # Guard on the fraction-free contraction steps of one table: each new cover
 # steps every other class of its parent, so T vectors in general position in
-# R^2 cost T(T - 1) steps for only T + 2 flats.  A step on images of width w
-# takes about 0.14 µs * (w + 12): 2.0 µs at w = 2 (2,000 vectors (1, k) in
-# R^2) and 15.8 µs at w = 98 (the coordinate vectors of R^100), 2 CPUs.  So a
-# step is charged w + 12: E_5 is charged 2,562,412, and 8,000 vectors (1, k)
-# in R^2 stop here after 38 s, 1,000 vectors (1, k, k^2) in R^3 after 37 s.
+# R^2 cost T(T - 1) steps for only T + 2 flats.  A full step on images of
+# width w takes about 0.14 µs * (w + 12): 1.8 µs at w = 3 and 17.9 µs at
+# w = 98 (2 CPUs).  A step whose vector is 0 on the pivot takes about 1 µs
+# at small w and 3.4 µs at w = 98 (the coordinate vectors of R^100), and one
+# at w = 2 does no arithmetic (0.1 µs).  Every step is charged w + 12 all the
+# same: the charge over-counts the cheaper forms on purpose, so that one
+# unit serves every form and the limit does not depend on which form runs.
+# E_5 is charged 2,562,412, and 8,000 vectors (1, k) in R^2 stop here
+# after 1.8-2.0 s at 24 MB, 600 vectors (1, k, k^2) in R^3 after 1.6-2.5 s
+# at 71 MB, and 150 vectors (1, k, k^2, k^3) in R^4 after 4.4 s at 225 MB.
 MAX_CONTRACTION_STEPS = 2 * 10**8
 # Guard on what the flats whose covers are not built yet hold, checked as
 # each flat is added: an image of a k-dimensional flat is charged its d - k
@@ -56,15 +63,17 @@ MAX_CONTRACTION_STEPS = 2 * 10**8
 # 62 B at width 2 (1,000 vectors (1, k, k^2) in R^3): 0.1 to 0.6 GB at the
 # limit.  The atoms' member bits take about T^2/16 bytes (4.5 B a unit for
 # 16,384 vectors in R^3), so they are charged before they are built.  E_5
-# peaks at 114,018.  `chambers --n 6` stops here after 9 s at 358 MB peak
-# RSS, `--n 7` after 3.4 s at 201 MB, `--n 17` to `--n 20` at the atoms, the
-# coordinates of R^100 or R^200 after 1.4 s at about 100 MB (2 CPUs).
+# peaks at 114,018.  `chambers --n 6` stops here after 7.8-8.8 s at 359 MB
+# peak RSS, `--n 7` after 2.5 s at 202 MB, `--n 17` to `--n 20` at the atoms,
+# the coordinates of R^100 or R^200 after 0.6-0.7 s at about 100 MB, and
+# 1,000 vectors (1, k, k^2) in R^3 after 1.0 s at 89 MB (2 CPUs).
 MAX_PENDING_IMAGES = 10**7
 # Guard on the restriction steps of one deletion-restriction count, charged
 # in MAX_CONTRACTION_STEPS's unit: m(m - 1)/2 steps at w + 12 per uncached
-# set of m normals in R^w, before its loop.  DR ran 6-9 million units a
-# second (2 CPUs): E_6 is charged 15,818,527 (1.9 s); the coordinate vectors
-# of R^100 stop here after 22-27 s at 88 MB, E_7 after 25-32 s at 140-160 MB.
+# set of m normals in R^w, before its loop, whichever form each step takes.
+# DR ran 8-18 million units a second (2 CPUs): E_6 is charged 15,818,527
+# (1.4-2.0 s); the coordinate vectors of R^100 stop here after 11-13 s at
+# 89 MB, E_7 after 19-22 s at 143 MB.
 MAX_DR_STEPS = 2 * 10**8
 
 
@@ -143,7 +152,14 @@ def schlafli_bound(n: int) -> int:
 def _restrict(h: Vector, ys: dict[Vector, int]) -> dict[Vector, int]:
     """Primitive images in R^w / span(h) of the vectors ys other than h, each
     mapped to the union of the bits of the ys it comes from: one fraction-free
-    step on h's first nonzero coordinate c, then c dropped."""
+    step on h's first nonzero coordinate c, then c dropped.  No y is parallel
+    to h.  At w = 2 every image is a nonzero vector of R^1, whose one
+    primitive vector is (1,), so no arithmetic is done.  When y[c] = 0 the
+    step gives h[c] * y, whose primitive form is y's, so y without entry c
+    is made primitive directly."""
+    if len(h) == 2:
+        others = [bits for y, bits in ys.items() if y is not h]
+        return {(1,): reduce(or_, others)} if others else {}
     c = next(k for k, x in enumerate(h) if x)
     a = h[c]
     out: dict[Vector, int] = {}
@@ -151,8 +167,11 @@ def _restrict(h: Vector, ys: dict[Vector, int]) -> dict[Vector, int]:
         if y is h:
             continue
         b = y[c]
-        z = [a * u - b * v for u, v in zip(y, h)]
-        del z[c]
+        if b:
+            z = [a * u - b * v for u, v in zip(y, h)]
+            del z[c]
+        else:
+            z = y[:c] + y[c + 1:]
         z = primitive(z)
         prev = out.get(z)  # an unmerged vector's bits are shared, not copied
         out[z] = bits if prev is None else prev | bits
@@ -307,10 +326,13 @@ def decreasing_chains(table: FlatTable, order: Sequence[int]) -> list[int]:
     |mu(0, F)| for every order: by Weisner's theorem on F's least member a,
     mu(0, F) = -sum mu(0, G) over the lower covers G of F that miss a
     (Stanley, EC1 3.9; the decreasing chains of Bjorner's minimal labeling).
-    One forward pass over the flats in id order, which ascends with dimension."""
+    One forward pass over the flats in id order, which ascends with dimension.
+    A flat holding order[0] is skipped: order[0] is the least member of each
+    of its covers and is already in it, so it passes its chains to none."""
     table.close()
     masks = table.masks
     bits = [1 << i for i in order]
+    first = bits[0]
     # The order-minimal member of each flat as its bit; flat 0 has none.
     minimal = [0]
     for mask in masks[1:]:
@@ -320,9 +342,10 @@ def decreasing_chains(table: FlatTable, order: Sequence[int]) -> list[int]:
                 break
     chains = [0] * len(masks)
     chains[table.zero_fid] = 1
-    for fid, mask in enumerate(masks):
-        count = chains[fid]
-        for cid in table.covers(fid):
+    for mask, count, covers in zip(masks, chains, table._covers):
+        if mask & first:
+            continue
+        for cid in covers:
             if not mask & minimal[cid]:
                 chains[cid] += count
     return chains

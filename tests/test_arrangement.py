@@ -205,6 +205,15 @@ def test_e5_lattice_sizes():
     assert by_dim == [1, 32, 496, 2800, 5780, 3254, 1]
     assert sum(by_dim) == 12364
     assert sum(len(table.covers(f)) for f in range(len(table.rows))) == 89878
+    assert table.contraction_steps == 2_562_412
+
+
+def test_e5_deletion_restriction_charge():
+    # The charge of MAX_DR_STEPS's unit on E_5, pinned so that no shortcut
+    # in the restriction step moves it
+    steps = [0]
+    assert _dr_regions(frozenset(generate_sign_vectors(5)), 6, {}, steps) == 94572
+    assert steps[0] == 393_130
 
 
 def test_lattice_built_once_per_table():
@@ -291,6 +300,31 @@ def test_restriction_step_against_rref():
                     owner[y] = z
         assert h not in owner
         assert sorted(owner) == sorted(y for y in ys if y is not h)
+        for y1 in owner:
+            for y2 in owner:
+                assert (owner[y1] == owner[y2]) == (len(fraction_rref([h, y1, y2])) == 2)
+
+
+def test_restriction_step_shortcuts():
+    # Width 2, where every image is (1,) and all the other bits merge, and a
+    # zero entry on h's pivot, where the image is y without it made
+    # primitive; each class checked against the Fraction RREF oracle.
+    cases = [
+        ((-3, 2), {(-3, 2): 1, (1, 0): 2, (2, -5): 4, (0, 1): 8}, {(1,): 14}),
+        ((2, 5), {(1, -1): 0}, {(1,): 0}),
+        ((2, 5), {(2, 5): 1}, {}),
+        # (0, 2, 4) is not primitive; (2, 1, 0) takes the full step and
+        # lands in the class of (0, 1, 2)
+        ((1, 1, 1), {(1, 1, 1): 1, (0, 2, 4): 2, (0, 1, 2): 4, (0, -3, 3): 8,
+                     (2, 1, 0): 16, (3, 0, -1): 32},
+         {(1, 2): 22, (1, -1): 8, (3, 4): 32}),
+        ((0, 2, -1), {(0, 2, -1): 1, (5, 0, 10): 2, (-1, 0, -2): 4, (1, 1, 0): 8},
+         {(1, 2): 6, (2, 1): 8}),
+    ]
+    for h, ys, want in cases:
+        images = _restrict(h, ys)
+        assert images == want
+        owner = {y: z for z, bits in images.items() for y, bit in ys.items() if bits & bit}
         for y1 in owner:
             for y2 in owner:
                 assert (owner[y1] == owner[y2]) == (len(fraction_rref([h, y1, y2])) == 2)
