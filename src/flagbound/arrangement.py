@@ -3,7 +3,9 @@
 Provides the sign-pattern vector set E, the lattice of flats (spans of
 subsets of the normals) with its Mobius function, the Zaslavsky chamber
 count, and an independent deletion-restriction region counter used as an
-oracle against it.
+oracle against it.  The Mobius values are decreasing-chain counts, and one
+pass over the flats counts those chains for many orders of the vectors at
+once, one lane of an integer per flat for each order.
 """
 
 from __future__ import annotations
@@ -22,8 +24,11 @@ __all__ = [
     "VectorSet",
     "IntersectionLattice",
     "FlatTable",
+    "charge_sign_vector_atoms",
     "ensure_table",
     "generate_sign_vectors",
+    "chain_lane_width",
+    "packed_decreasing_chains",
     "decreasing_chains",
     "build_lattice",
     "chamber_count",
@@ -64,9 +69,11 @@ MAX_CONTRACTION_STEPS = 2 * 10**8
 # limit.  The atoms' member bits take about T^2/16 bytes (4.5 B a unit for
 # 16,384 vectors in R^3), so they are charged before they are built.  E_5
 # peaks at 114,018.  `chambers --n 6` stops here after 7.8-8.8 s at 359 MB
-# peak RSS, `--n 7` after 2.5 s at 202 MB, `--n 17` to `--n 20` at the atoms,
-# the coordinates of R^100 or R^200 after 0.6-0.7 s at about 100 MB, and
-# 1,000 vectors (1, k, k^2) in R^3 after 1.0 s at 89 MB (2 CPUs).
+# peak RSS, `--n 7` after 2.5 s at 202 MB, the coordinates of R^100 or
+# R^200 after 0.6-0.7 s at about 100 MB, and 1,000 vectors (1, k, k^2) in
+# R^3 after 1.0 s at 89 MB (2 CPUs).  E_15 to E_20 stop at their atoms,
+# which charge_sign_vector_atoms charges from n alone: `chambers`, `lambda`
+# and `homology --n 20` exit in about 0.1 s at 16 MB.
 MAX_PENDING_IMAGES = 10**7
 # Guard on the restriction steps of one deletion-restriction count, charged
 # in MAX_CONTRACTION_STEPS's unit: m(m - 1)/2 steps at w + 12 per uncached
@@ -178,6 +185,25 @@ def _restrict(h: Vector, ys: dict[Vector, int]) -> dict[Vector, int]:
     return out
 
 
+def _pending_images(pending: int, count: int, dim: int, d: int, t: int) -> int:
+    """`pending` plus the charge of `count` images of a flat of dimension
+    `dim` in a table of t vectors in R^d, or minus it if count < 0, as
+    MAX_PENDING_IMAGES says; a GuardError past the limit."""
+    pending += count * (d - dim + t // 64)
+    if pending > MAX_PENDING_IMAGES:
+        raise GuardError("arrangement.pending_images", f"<= {MAX_PENDING_IMAGES}", pending)
+    return pending
+
+
+def charge_sign_vector_atoms(n: int) -> None:
+    """Raise what FlatTable(generate_sign_vectors(n)) raises on charging its
+    atoms, from n alone, before the 2^n vectors are built.  An n out of
+    range is left to generate_sign_vectors."""
+    if 1 <= n <= SIGN_VECTORS_MAX_N:
+        t = 1 << n
+        _pending_images(0, t, 0, n + 1, t)
+
+
 class FlatTable:
     """Interning table for the flats (distinct spans of subsets) of a VectorSet.
 
@@ -220,13 +246,9 @@ class FlatTable:
         self._classes[self.zero_fid] = {primitive(w): 1 << i for i, w in enumerate(vs.vectors)}
 
     def _charge_images(self, count: int, dim: int) -> None:
-        """Charge `count` images of a flat of dimension `dim`, or release
-        them if count < 0, as MAX_PENDING_IMAGES says."""
-        d, t = self.vs.ambient_dim, len(self.vs)
-        pending = self.pending_images + count * (d - dim + t // 64)
-        if pending > MAX_PENDING_IMAGES:
-            raise GuardError("arrangement.pending_images", f"<= {MAX_PENDING_IMAGES}", pending)
-        self.pending_images = pending
+        self.pending_images = _pending_images(
+            self.pending_images, count, dim, self.vs.ambient_dim, len(self.vs)
+        )
 
     def _add(self, mask: int, rows: tuple[Vector, ...], classes: dict[Vector, int]) -> int:
         fid = len(self.masks)
@@ -320,35 +342,80 @@ def ensure_table(H: VectorSet, table: FlatTable | None = None) -> FlatTable:
     return table
 
 
+def chain_lane_width(H: VectorSet) -> int:
+    """Bits of one order's lane in packed_decreasing_chains: the T rank bits
+    of a flat or the T^d bound on a chain count, whichever is wider, and one
+    more bit for the carry of the nonzero test."""
+    T, d = len(H), H.ambient_dim
+    return max(T, (T**d).bit_length()) + 1
+
+
+def packed_decreasing_chains(table: FlatTable, orders: Sequence[Sequence[int]]) -> list[int]:
+    """decreasing_chains for several orders in one pass: per flat, one int
+    whose lane k, of width chain_lane_width bits from bit k * width, holds
+    the count under orders[k].
+
+    Per flat, ranked[F] holds F's members relabelled by rank, bit r of lane
+    k set when orders[k][r] is in F: the OR over F's members of a pattern
+    per vector.  In each lane, (r - rep) & ~r keeps the ranks before F's
+    least member (rep holds a 1 at the bottom of each lane, and every lane
+    of a flat other than 0 is nonzero, so no borrow crosses a lane); flat 0
+    has no member and takes every rank.  The step from F to its cover c
+    adds c's least member, as a decreasing chain needs, when c holds a rank
+    before F's least member: adding 2^T - 1 to each lane of
+    ranked[c] & below carries into the lane's bit T exactly when the lane
+    is nonzero, and (.. >> T) & rep moves those carries to the bottom of
+    their lanes.  Those lanes of F's count pass to c.
+
+    The lanes never overflow.  A chain of covers 0 < .. < F is fixed by a
+    sequence of at most d vectors, one new member of each step, so no
+    count exceeds T^d and each fits in (T^d).bit_length() bits; a rank
+    lane plus 2^T - 1 is below 2^(T + 1).  A width of max(T, (T^d).bit_length()) + 1 holds both,
+    the extra bit taking the carry of the nonzero test.  A flat whose count
+    is 0 in every lane, or that holds the order-first vector of every
+    order, passes nothing and is skipped."""
+    table.close()
+    T = len(table.vs)
+    width = chain_lane_width(table.vs)
+    rep = sum(1 << (k * width) for k in range(len(orders)))
+    ranks = rep * ((1 << T) - 1)
+    ones = (1 << width) - 1
+    pattern = [0] * T
+    for k, order in enumerate(orders):
+        for r, i in enumerate(order):
+            pattern[i] |= 1 << (k * width + r)
+    ranked = []
+    for mask in table.masks:
+        r = 0
+        while mask:
+            low = mask & -mask
+            r |= pattern[low.bit_length() - 1]
+            mask ^= low
+        ranked.append(r)
+    chains = [0] * len(ranked)
+    chains[table.zero_fid] = rep
+    for r, count, covers in zip(ranked, chains, table._covers):
+        below = (r - rep) & ~r if r else ranks
+        if not (count and below):
+            continue
+        for cid in covers:
+            live = ((ranked[cid] & below) + ranks) >> T & rep
+            if live == rep:
+                chains[cid] += count
+            elif live:
+                chains[cid] += count & live * ones
+    return chains
+
+
 def decreasing_chains(table: FlatTable, order: Sequence[int]) -> list[int]:
     """Per flat F, the number of chains 0 < .. < F of covers in which each
     step adds the least member, in `order`, of the flat it reaches.  It is
     |mu(0, F)| for every order: by Weisner's theorem on F's least member a,
     mu(0, F) = -sum mu(0, G) over the lower covers G of F that miss a
     (Stanley, EC1 3.9; the decreasing chains of Bjorner's minimal labeling).
-    One forward pass over the flats in id order, which ascends with dimension.
-    A flat holding order[0] is skipped: order[0] is the least member of each
-    of its covers and is already in it, so it passes its chains to none."""
-    table.close()
-    masks = table.masks
-    bits = [1 << i for i in order]
-    first = bits[0]
-    # The order-minimal member of each flat as its bit; flat 0 has none.
-    minimal = [0]
-    for mask in masks[1:]:
-        for bit in bits:
-            if mask & bit:
-                minimal.append(bit)
-                break
-    chains = [0] * len(masks)
-    chains[table.zero_fid] = 1
-    for mask, count, covers in zip(masks, chains, table._covers):
-        if mask & first:
-            continue
-        for cid in covers:
-            if not mask & minimal[cid]:
-                chains[cid] += count
-    return chains
+    One forward pass over the flats in id order, which ascends with
+    dimension: packed_decreasing_chains with one lane."""
+    return packed_decreasing_chains(table, [order])
 
 
 def build_lattice(H: VectorSet, table: FlatTable | None = None) -> IntersectionLattice:

@@ -27,12 +27,13 @@ SAMPLING_CHECK_MAX_N = 3
 SAMPLING_CHECK_COUNT = 200
 MAX_RANDOM_WEIGHT_ENTRIES = 10**6
 # Guard on the order walks of `lambda`, the identity walk and one per
-# --order-trials, counted in cover edges.  A walk costs 0.17-0.25 µs per
-# cover edge plus 17-25 µs per call.  Timed in alternating blocks of E_1
-# (4 edges) and E_5 (89,878 edges) walks, the per-call cost is 90-107
-# edges (2 CPUs, Python 3.11), counted as ORDER_WALK_CALL_EDGES more edges
-# per walk: the limit is about 960,000 walks on E_1 and 1,110 on E_5, and
-# `lambda` at either took 22 s.
+# --order-trials, counted in cover edges plus ORDER_WALK_CALL_EDGES per
+# walk: the limit is about 960,000 trials on E_1 (4 edges) and 1,110 on
+# E_5 (89,878 edges).  The unit was timed when each order walked the
+# lattice alone (22 s at either limit).  The orders now share a packed
+# walk (flags.minimal_tuple_counts), and at the limit `lambda --n 1` took
+# 9.8-10.4 s at 92 MB peak RSS, most of it drawing the orders, and
+# `lambda --n 5` 1.7 s at 32 MB (2 CPUs, Python 3.11).
 MAX_ORDER_WALK_EDGES = 10**8
 ORDER_WALK_CALL_EDGES = 100
 
@@ -41,6 +42,7 @@ def _load_set(args: argparse.Namespace) -> tuple[VectorSet, dict]:
     if args.input is not None:
         vs = arrangement.read_vector_set(args.input)
         return vs, {"input": args.input}
+    arrangement.charge_sign_vector_atoms(args.n)
     vs = generate_sign_vectors(args.n)
     return vs, {"n": args.n}
 
@@ -101,12 +103,10 @@ def _run_lambda(args: argparse.Namespace) -> tuple[bool, dict]:
     if work > MAX_ORDER_WALK_EDGES:
         raise GuardError("lambda.order_walk_edges", f"<= {MAX_ORDER_WALK_EDGES}", work)
     base = flags.minimal_tuple_count(vs, table=table)
-    values = [
-        flags.minimal_tuple_count(
-            vs, OrderPermutation.random(len(vs), args.order_seed + i), table
-        )
-        for i in range(args.order_trials)
-    ]
+    orders = (
+        OrderPermutation.random(len(vs), args.order_seed + i) for i in range(args.order_trials)
+    )
+    values = flags.minimal_tuple_counts(vs, orders, table)
     payload = dict(source)
     payload["identity"] = str(base)
     if args.order_trials:
@@ -188,10 +188,8 @@ def _verify_one(n: int, level: str) -> list[dict]:
         return ok, f"{weight_trials} weight vectors -> {sorted(map(str, sums))}, tuples {lam}"
 
     def order_invariance():
-        vals = {
-            flags.minimal_tuple_count(vs, OrderPermutation.random(len(vs), s), table)
-            for s in range(order_trials)
-        }
+        orders = (OrderPermutation.random(len(vs), s) for s in range(order_trials))
+        vals = set(flags.minimal_tuple_counts(vs, orders, table))
         return vals == {lam}, f"{order_trials} orders -> {sorted(vals)}"
 
     def homology_match():

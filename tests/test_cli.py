@@ -8,12 +8,14 @@ import flagbound.cli
 import flagbound.homology
 import flagbound.threshold
 from flagbound.arrangement import (
+    FlatTable,
     VectorSet,
     generate_sign_vectors,
     read_vector_set,
     write_vector_set,
 )
 from flagbound.cli import main
+from flagbound.errors import GuardError
 
 
 def run(capsys, argv):
@@ -472,3 +474,22 @@ def test_malformed_input_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, ["chambers", "--input", str(path)])
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_sign_vector_atoms_charged_before_the_set_is_built(capsys, monkeypatch):
+    # E_n's atoms are charged from n, with the message a table gives them.
+    with pytest.raises(GuardError) as raised:
+        FlatTable(generate_sign_vectors(15))
+    code, out, err = run(capsys, ["lambda", "--n", "15"])
+    assert (code, out, err) == (2, "", f"error: {raised.value}\n")
+
+    def unbuilt(n):
+        raise AssertionError(f"E_{n} built")
+
+    monkeypatch.setattr(flagbound.cli, "generate_sign_vectors", unbuilt)
+    for command in ("chambers", "lambda", "homology"):
+        code, out, err = run(capsys, [command, "--n", "17"])
+        assert code == 2
+        assert out == ""
+        assert err == ("error: guard 'arrangement.pending_images' violated: "
+                       "limit <= 10000000, got 270794752\n")

@@ -9,6 +9,7 @@ from flagbound.arrangement import (
     FlatTable,
     VectorSet,
     build_lattice,
+    chain_lane_width,
     chamber_count,
     decreasing_chains,
     generate_sign_vectors,
@@ -16,6 +17,7 @@ from flagbound.arrangement import (
 from flagbound.errors import GuardError
 from flagbound.exactlin import rank
 from flagbound.flags import (
+    PACKED_WALK_BITS,
     IndexTuple,
     OrderPermutation,
     WeightVector,
@@ -25,6 +27,7 @@ from flagbound.flags import (
     flag_weighted_sum,
     flag_weighted_sum_by_enumeration,
     minimal_tuple_count,
+    minimal_tuple_counts,
     minimal_tuples,
     monte_carlo_expectation,
     read_weight_vector,
@@ -423,3 +426,41 @@ def test_bound_vs_chambers(sign_tables):
         H, table = sign_tables[n]
         lam = minimal_tuple_count(H, table=table)
         assert 2 * lam <= chamber_count(H, table)
+
+
+def _lane_walk_matches(H, table, extra_orders=3):
+    """minimal_tuple_counts over more orders than one pass holds equals the
+    one-lane walk per order and the enumerated tuple count."""
+    orders = [OrderPermutation.random(len(H), s)
+              for s in range(PACKED_WALK_BITS // chain_lane_width(H) + extra_orders)]
+    counts = minimal_tuple_counts(H, iter(orders), table)
+    assert counts == [decreasing_chains(table, o.order)[-1] for o in orders]
+    assert set(counts) == {len(minimal_tuples(H, table=table))}
+
+
+def test_minimal_tuple_counts_cross_a_pass(sign_tables):
+    # On E_1..E_4 the count bound sets the lane width; on the two random
+    # sets T does, so a carry that leaves its lane would show there.
+    for n in (1, 2, 3, 4):
+        _lane_walk_matches(*sign_tables[n])
+    for H in (random_spanning_set(2, 9, 3), random_spanning_set(3, 12, 4)):
+        assert (len(H) ** H.ambient_dim).bit_length() < len(H)
+        _lane_walk_matches(H, FlatTable(H))
+
+
+def test_lane_width_set_by_the_count_bound():
+    # 8 vectors in R^6: a chain count may reach 8^6, wider than the 8 rank
+    # bits, and each lane keeps a bit above both.
+    H = random_spanning_set(6, 8, 5)
+    T, d = len(H), H.ambient_dim
+    assert chain_lane_width(H) > (T**d).bit_length() > T
+    _lane_walk_matches(H, FlatTable(H))
+
+
+def test_monte_carlo_lane_walk_values():
+    H = random_spanning_set(3, 12, 4)
+    p = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)) + (0,) * 9
+    for seed in range(3):
+        assert monte_carlo_expectation(
+            generate_sign_vectors(3), WeightVector.uniform(8), 200, seed) == (23, 0.0)
+        assert monte_carlo_expectation(H, p, 200, seed) == (50, 0.0)
