@@ -41,8 +41,8 @@ __all__ = [
 SIGN_VECTORS_MAX_N = 20
 SCHLAFLI_MAX_N = 62
 # Guard on the flats of one table, checked as each flat is added.  Measured
-# by tracemalloc after close(), a flat costs about 375 B at T = 32 (E_5) and
-# 370 B at T = 64 (64 integer vectors in R^4).  A flat whose covers are not
+# by tracemalloc after close(), a flat costs about 376 B at T = 32 (E_5) and
+# 368 B at T = 64 (64 integer vectors in R^4).  A flat whose covers are not
 # built yet also holds its images, and on the sign-vector sets that guard
 # (MAX_PENDING_IMAGES) stops first.  A mask of T bits needs no charge here:
 # a table gets past its atoms only if their T(T - 1)(d + 12) contraction
@@ -51,29 +51,34 @@ MAX_FLATS = 600_000
 # Guard on the fraction-free contraction steps of one table: each new cover
 # steps every other class of its parent, so T vectors in general position in
 # R^2 cost T(T - 1) steps for only T + 2 flats.  A full step on images of
-# width w takes about 0.14 µs * (w + 12): 1.8 µs at w = 3 and 17.9 µs at
-# w = 98 (2 CPUs).  A step whose vector is 0 on the pivot takes about 1 µs
-# at small w and 3.4 µs at w = 98 (the coordinate vectors of R^100), and one
-# at w = 2 does no arithmetic (0.1 µs).  Every step is charged w + 12 all the
-# same: the charge over-counts the cheaper forms on purpose, so that one
-# unit serves every form and the limit does not depend on which form runs.
-# E_5 is charged 2,562,412, and 8,000 vectors (1, k) in R^2 stop here
-# after 1.8-2.0 s at 24 MB, 600 vectors (1, k, k^2) in R^3 after 1.6-2.5 s
-# at 71 MB, and 150 vectors (1, k, k^2, k^3) in R^4 after 4.4 s at 225 MB.
+# width w takes up to about 0.14 µs * (w + 12) while the packed images are
+# narrow: 0.9 µs at w = 3 and 0.8 µs at w = 98 with 5-bit digits (2 CPUs).
+# Wide digits cost more: at w = 98 with the 848-bit digits of dense vectors
+# in R^100 a step takes 36 µs, twice its charge.  A step whose vector is 0
+# on the pivot takes about 0.2 µs, and one at w = 2 does no arithmetic
+# (0.1 µs).  Every step is charged w + 12 all the same: the charge
+# over-counts the cheaper forms on purpose, so that one unit serves every
+# form and the limit does not depend on which form runs.  E_5 is charged
+# 2,562,412, and 8,000 vectors (1, k) in R^2 stop here after 1.6-2.6 s at
+# 24 MB, 600 vectors (1, k, k^2) in R^3 after 1.7 s at 52 MB, 150 vectors
+# (1, k, k^2, k^3) in R^4 after 3.5-4.2 s at 186 MB, and 40 random vectors
+# of R^6 with entries in +-10^6 after 12.5-13.8 s at 491 MB.
 MAX_CONTRACTION_STEPS = 2 * 10**8
 # Guard on what the flats whose covers are not built yet hold, checked as
 # each flat is added: an image of a k-dimensional flat is charged its d - k
-# entries plus T // 64 for its member bits, up to T bits.  By tracemalloc an
-# entry takes 9 B at width 98 (the coordinates of R^100), 41 B on E_6 and
-# 62 B at width 2 (1,000 vectors (1, k, k^2) in R^3): 0.1 to 0.6 GB at the
-# limit.  The atoms' member bits take about T^2/16 bytes (4.5 B a unit for
-# 16,384 vectors in R^3), so they are charged before they are built.  E_5
-# peaks at 114,018.  `chambers --n 6` stops here after 7.8-8.8 s at 359 MB
-# peak RSS, `--n 7` after 2.5 s at 202 MB, the coordinates of R^100 or
-# R^200 after 0.6-0.7 s at about 100 MB, and 1,000 vectors (1, k, k^2) in
-# R^3 after 1.0 s at 89 MB (2 CPUs).  E_15 to E_20 stop at their atoms,
-# which charge_sign_vector_atoms charges from n alone: `chambers`, `lambda`
-# and `homology --n 20` exit in about 0.1 s at 16 MB.
+# entries, each one unit per 128 bits of digit (at least one), plus T // 64
+# for its member bits, up to T bits.  The atoms' member bits take about
+# T^2/16 bytes (4.5 B a unit for 16,384 vectors in R^3), so they are charged
+# before they are built.  E_5 peaks at 114,018.  At the limit peak RSS runs
+# from 19 MB to 0.3 GB (2 CPUs): the coordinates of R^100 or R^200 (3-bit
+# digits) stop here after 0.14-0.22 s at 19-21 MB, 1,000 vectors
+# (1, k, k^2) in R^3 after 0.9 s at 55-64 MB, `chambers --n 7` after 1.2 s
+# at 112 MB, `--n 6` after 3.4-3.5 s at 223 MB, 100 random vectors of R^100
+# with entries in +-3 (874-bit digits, 6 units an entry) after 2.7 s at
+# 174 MB, and 24 random vectors of R^10 with entries in +-10^6 (340-bit
+# digits, 2 units an entry) after 8.8 s at 293 MB.  E_15 to E_20 stop at
+# their atoms, which charge_sign_vector_atoms charges from n alone:
+# `chambers`, `lambda` and `homology --n 20` exit in about 0.1 s at 16 MB.
 MAX_PENDING_IMAGES = 10**7
 # Guard on the restriction steps of one deletion-restriction count, charged
 # in MAX_CONTRACTION_STEPS's unit: m(m - 1)/2 steps at w + 12 per uncached
@@ -185,11 +190,86 @@ def _restrict(h: Vector, ys: dict[Vector, int]) -> dict[Vector, int]:
     return out
 
 
-def _pending_images(pending: int, count: int, dim: int, d: int, t: int) -> int:
+def _digit_bits(square: int) -> int:
+    """Bits of one balanced signed digit of a packed image (FlatTable) that
+    holds a * y - b * h for entries a, b, y, h of absolute value at most
+    sqrt(square): 2 * square fits in B - 1 bits, so the digit stays within
+    +-(2^(B - 1) - 1)."""
+    return (2 * square).bit_length() + 1
+
+
+def _pack(v: Vector, bits: int) -> int:
+    """v as one int, entry k the balanced digit of weight 2^(bits (len(v) - 1 - k))."""
+    z = 0
+    for x in v:
+        z = (z << bits) + x
+    return z
+
+
+def _content(z: int, bits: int) -> int:
+    """The gcd of the balanced digits of a packed image, read from the
+    lowest digit up until it is 1."""
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    g = 0
+    while z and g != 1:
+        x = z & mask
+        z >>= bits
+        if x >= half:  # a negative digit borrowed one from the next
+            x -= mask + 1
+            z += 1
+        g = math.gcd(g, x)
+    return g
+
+
+def _restrict_packed(h: int, ys: dict[int, int], w: int, bits: int) -> dict[int, int]:
+    """_restrict on packed images (FlatTable) of `bits`-bit digits, for a
+    flat whose quotient is R^w.  The pivot is h's leading digit, at bit
+    h.bit_length() // bits * bits since h > 0, and the step leaves a zero
+    there instead of dropping it, so the coordinates eliminated so far are
+    zero digits and each image keeps the frame of R^d.  A y whose pivot
+    digit is 0 is kept as it is; any other becomes a * y - b * h, made
+    positive, and divided by its digit content unless its lowest nonzero
+    digit is +-1.  At w = 2 every image is 1."""
+    if w == 2:
+        others = [b for y, b in ys.items() if y is not h]
+        return {1: reduce(or_, others)} if others else {}
+    shift = h.bit_length() // bits * bits
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    rnd = (1 << shift) >> 1  # rounds y >> shift to y's pivot digit
+    off = rnd + (half << shift)  # and adds half to it, so the mask reads b + half
+    a = (h + rnd) >> shift
+    out: dict[int, int] = {}
+    for y, ybits in ys.items():
+        if y is h:
+            continue
+        b = ((y + off) >> shift & mask) - half
+        if b:
+            z = a * y - b * h
+            if z < 0:
+                z = -z
+            unit = z & mask
+            if not unit:
+                low = (z & -z).bit_length() - 1
+                unit = z >> (low - low % bits) & mask
+            if unit != 1 and unit != mask:
+                g = _content(z, bits)
+                if g != 1:
+                    z //= g
+        else:
+            z = y
+        prev = out.get(z)  # an unmerged vector's bits are shared, not copied
+        out[z] = ybits if prev is None else prev | ybits
+    return out
+
+
+def _pending_images(pending: int, count: int, dim: int, d: int, t: int, units: int = 1) -> int:
     """`pending` plus the charge of `count` images of a flat of dimension
-    `dim` in a table of t vectors in R^d, or minus it if count < 0, as
-    MAX_PENDING_IMAGES says; a GuardError past the limit."""
-    pending += count * (d - dim + t // 64)
+    `dim` in a table of t vectors in R^d, whose entries are `units` each,
+    or minus it if count < 0, as MAX_PENDING_IMAGES says; a GuardError past
+    the limit."""
+    pending += count * ((d - dim) * units + t // 64)
     if pending > MAX_PENDING_IMAGES:
         raise GuardError("arrangement.pending_images", f"<= {MAX_PENDING_IMAGES}", pending)
     return pending
@@ -198,7 +278,8 @@ def _pending_images(pending: int, count: int, dim: int, d: int, t: int) -> int:
 def charge_sign_vector_atoms(n: int) -> None:
     """Raise what FlatTable(generate_sign_vectors(n)) raises on charging its
     atoms, from n alone, before the 2^n vectors are built.  An n out of
-    range is left to generate_sign_vectors."""
+    range is left to generate_sign_vectors.  E_n's digits are under 128
+    bits (86 at n = 20), so each entry is one unit."""
     if 1 <= n <= SIGN_VECTORS_MAX_N:
         t = 1 << n
         _pending_images(0, t, 0, n + 1, t)
@@ -218,6 +299,20 @@ class FlatTable:
     dimension and a table numbers its flats the same way whichever walk built
     it.  rows[fid] is a basis of the flat, not a canonical one.  The table is
     a cache: it never affects results, only the cost of obtaining them.
+
+    An image is one int: its d coordinates are balanced signed digits of B
+    bits, the first coordinate the most significant (_pack), so the int is
+    positive iff its first nonzero coordinate is, and two images are equal
+    iff their vectors are.  A coordinate eliminated by a step stays as a
+    zero digit (_restrict_packed).  No digit overflows: B is _digit_bits(M^2)
+    for M = N^max(d - 2, 1), N the largest norm of a vector.  An image of a
+    class of a k-dimensional flat F is proportional to the vector of
+    (k + 1)-minors of (f_1, .., f_k, y) on F's pivot columns and one more,
+    for members f_i spanning F and y in the class (Cramer's rule), so its
+    primitive entries are at most their Hadamard bound, N^(k + 1).  The step
+    does arithmetic only at w = d - k >= 3, where that is at most M, so a
+    step's a * y - b * h, for entries a, b of the images h, y, is at most
+    2 M^2.
     """
 
     def __init__(self, vs: VectorSet):
@@ -231,7 +326,7 @@ class FlatTable:
         self._covers: list[list[int]] = []
         # Image in R^d / F -> member bits, for each flat F whose covers are
         # not built yet; their entries are bounded by MAX_PENDING_IMAGES.
-        self._classes: dict[int, dict[Vector, int]] = {}
+        self._classes: dict[int, dict[int, int]] = {}
         self.pending_images = 0
         # The lattice with its Mobius values, set by build_lattice, and the
         # weight-free flag-sum pair, set by flags._flag_sum_coefficients.
@@ -241,16 +336,21 @@ class FlatTable:
         self.contraction_steps = 0
         # A VectorSet has no parallel pair, so each atom is its own class,
         # charged before it is built (MAX_PENDING_IMAGES).
+        square = max(sum(x * x for x in w) for w in vs.vectors)
+        self._digit_bits = _digit_bits(square ** max(vs.ambient_dim - 2, 1))
         self.zero_fid = self._add(0, (), {})
         self._charge_images(len(vs), 0)
-        self._classes[self.zero_fid] = {primitive(w): 1 << i for i, w in enumerate(vs.vectors)}
+        self._classes[self.zero_fid] = {
+            _pack(primitive(w), self._digit_bits): 1 << i for i, w in enumerate(vs.vectors)
+        }
 
     def _charge_images(self, count: int, dim: int) -> None:
         self.pending_images = _pending_images(
-            self.pending_images, count, dim, self.vs.ambient_dim, len(self.vs)
+            self.pending_images, count, dim, self.vs.ambient_dim, len(self.vs),
+            self._digit_bits // 128 or 1,
         )
 
-    def _add(self, mask: int, rows: tuple[Vector, ...], classes: dict[Vector, int]) -> int:
+    def _add(self, mask: int, rows: tuple[Vector, ...], classes: dict[int, int]) -> int:
         fid = len(self.masks)
         if fid >= MAX_FLATS:
             raise GuardError("arrangement.flats", f"<= {MAX_FLATS}", fid + 1)
@@ -263,10 +363,11 @@ class FlatTable:
         self._classes[fid] = classes
         return fid
 
-    def _contract(self, fid: int, image: Vector, bits: int, classes: dict[Vector, int]) -> int:
+    def _contract(self, fid: int, image: int, bits: int, classes: dict[int, int]) -> int:
         """Add the cover of flat fid spanned with the class `bits`, whose image
         in R^d / F is `image`, holding the other classes restricted to it."""
-        steps = self.contraction_steps + (len(classes) - 1) * (len(image) + 12)
+        w = self.vs.ambient_dim - self.dims[fid]
+        steps = self.contraction_steps + (len(classes) - 1) * (w + 12)
         if steps > MAX_CONTRACTION_STEPS:
             raise GuardError(
                 "arrangement.contraction_steps", f"<= {MAX_CONTRACTION_STEPS}", steps
@@ -274,7 +375,8 @@ class FlatTable:
         self.contraction_steps = steps
         i = (bits & -bits).bit_length() - 1
         rows = self.rows[fid] + (self.vs.vectors[i],)
-        return self._add(self.masks[fid] | bits, rows, _restrict(image, classes))
+        images = _restrict_packed(image, classes, w, self._digit_bits)
+        return self._add(self.masks[fid] | bits, rows, images)
 
     def covers(self, fid: int) -> list[int]:
         """Ids of the flats one dimension up reachable by adjoining a vector."""

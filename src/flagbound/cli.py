@@ -26,16 +26,22 @@ FLAT_CHECK_MAX_N = 3
 SAMPLING_CHECK_MAX_N = 3
 SAMPLING_CHECK_COUNT = 200
 MAX_RANDOM_WEIGHT_ENTRIES = 10**6
-# Guard on the order walks of `lambda`, the identity walk and one per
-# --order-trials, counted in cover edges plus ORDER_WALK_CALL_EDGES per
-# walk: the limit is about 960,000 trials on E_1 (4 edges) and 1,110 on
-# E_5 (89,878 edges).  The unit was timed when each order walked the
-# lattice alone (22 s at either limit).  The orders now share a packed
-# walk (flags.minimal_tuple_counts), and at the limit `lambda --n 1` took
-# 9.8-10.4 s at 92 MB peak RSS, most of it drawing the orders, and
-# `lambda --n 5` 1.7 s at 32 MB (2 CPUs, Python 3.11).
+# Guard on the work of `lambda`, charged before any order is drawn, in
+# cover edges walked: the identity order's walk, and one walk for each
+# ORDER_WALK_BITS of lanes in each pass of flags.minimal_tuple_counts (at
+# least one a pass), each walk plus ORDER_WALK_CALL_EDGES; then each trial
+# ORDER_DRAW_EDGES plus ORDER_VECTOR_EDGES a vector, for drawing its order.
+# A unit is about 0.1 µs (2 CPUs, Python 3.11): an E_5 pass of 62 orders
+# (2,046 bits) took 69 ms for 8 walks of 89,978 edges, and drawing an order
+# 8.1 µs on E_1 and 15.5 µs on E_5.  At the limit `lambda --n 1` to `--n 5`
+# (1,024,325, 945,065, 773,138, 267,828 and 8,463 trials) each take
+# 9.6-10.7 s, at 97 MB peak RSS for n = 1 and 30 MB for n = 5, and 3,000
+# vectors (1, k) in R^2 (1,215 trials, one 3,001-bit lane a pass) 7.6 s.
 MAX_ORDER_WALK_EDGES = 10**8
 ORDER_WALK_CALL_EDGES = 100
+ORDER_WALK_BITS = 256
+ORDER_DRAW_EDGES = 90
+ORDER_VECTOR_EDGES = 3
 
 
 def _load_set(args: argparse.Namespace) -> tuple[VectorSet, dict]:
@@ -99,7 +105,13 @@ def _run_lambda(args: argparse.Namespace) -> tuple[bool, dict]:
     table = FlatTable(vs)
     table.close()
     edges = sum(len(table.covers(f)) for f in range(len(table.masks)))
-    work = (args.order_trials + 1) * (edges + ORDER_WALK_CALL_EDGES)
+    width = arrangement.chain_lane_width(vs)
+    lanes = flags.pass_lanes(vs)
+    full, rest = divmod(args.order_trials, lanes)
+    # the identity's walk, then each pass's lane bits over ORDER_WALK_BITS, rounded up
+    walks = 1 + full * -(-lanes * width // ORDER_WALK_BITS) - (-rest * width // ORDER_WALK_BITS)
+    draw = ORDER_DRAW_EDGES + ORDER_VECTOR_EDGES * len(vs)
+    work = walks * (edges + ORDER_WALK_CALL_EDGES) + args.order_trials * draw
     if work > MAX_ORDER_WALK_EDGES:
         raise GuardError("lambda.order_walk_edges", f"<= {MAX_ORDER_WALK_EDGES}", work)
     base = flags.minimal_tuple_count(vs, table=table)

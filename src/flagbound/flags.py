@@ -305,6 +305,12 @@ def minimal_tuple_count(
     return minimal_tuple_counts(H, [order], table)[0]
 
 
+def pass_lanes(H: VectorSet) -> int:
+    """Orders in one pass of minimal_tuple_counts: PACKED_WALK_BITS // lane
+    width, and at least one."""
+    return max(1, PACKED_WALK_BITS // chain_lane_width(H))
+
+
 def minimal_tuple_counts(
     H: VectorSet,
     orders: Iterable[OrderPermutation],
@@ -312,12 +318,11 @@ def minimal_tuple_counts(
 ) -> list[int]:
     """minimal_tuple_count under each of `orders`, in their order, from the
     top flat's lanes of arrangement.packed_decreasing_chains.  The orders
-    are drawn lazily, one pass of at most PACKED_WALK_BITS // lane width
-    (and at least one) at a time."""
+    are drawn lazily, one pass of pass_lanes(H) at a time."""
     table = ensure_table(H, table)
     T = len(H)
     width = chain_lane_width(H)
-    lanes = max(1, PACKED_WALK_BITS // width)
+    lanes = pass_lanes(H)
     ones = (1 << width) - 1
     orders = iter(orders)
     out: list[int] = []

@@ -10,8 +10,11 @@ from flagbound.arrangement import (
     FlatTable,
     IntersectionLattice,
     VectorSet,
+    _digit_bits,
     _dr_regions,
+    _pack,
     _restrict,
+    _restrict_packed,
     build_lattice,
     chamber_count,
     chamber_count_dr,
@@ -21,7 +24,7 @@ from flagbound.arrangement import (
     write_vector_set,
 )
 from flagbound.errors import GuardError
-from flagbound.exactlin import rank
+from flagbound.exactlin import primitive, rank
 
 from conftest import fraction_rref, random_spanning_set
 
@@ -186,6 +189,9 @@ def test_flat_members_are_exactly_contained_vectors(sign_tables):
     for seed in range(3):
         H = random_spanning_set(4, 12, seed)
         cases.append((H, FlatTable(H)))
+    for dim, count, seed in ((4, 10, 3), (5, 9, 4)):
+        H = random_spanning_set(dim, count, seed, bound=10**6)
+        cases.append((H, FlatTable(H)))
     for H, table in cases:
         table.close()
         for f in range(len(table.rows)):
@@ -268,6 +274,23 @@ def test_atoms_charged_before_they_are_built(monkeypatch):
         FlatTable(vs)
 
 
+def test_pending_images_charged_by_digit_width():
+    # An entry is one unit per 128 bits of digit, at least one: six vectors
+    # with entries near 2^64 in R^6 take digits of 515 bits, four units an
+    # entry.  E_n's digits, which charge_sign_vector_atoms charges one unit
+    # an entry, are under 128 bits up to n = 20.
+    big = 1 << 64
+    vs = VectorSet(tuple(tuple(big + i if i == j else i * j for j in range(6))
+                         for i in range(6)), 6)
+    table = FlatTable(vs)
+    assert table._digit_bits == 515
+    assert table.pending_images == 6 * 6 * 4
+    table.close()
+    assert chamber_count(vs) == chamber_count_dr(vs) == 64
+    for n in range(1, 21):
+        assert _digit_bits((n + 1) ** max(n - 1, 1)) < 128
+
+
 def test_restriction_step_against_rref():
     # The images in R^w / span(h), checked against the Fraction RREF oracle,
     # which shares no code with the step: y1 and y2 share an image iff
@@ -328,6 +351,94 @@ def test_restriction_step_shortcuts():
         for y1 in owner:
             for y2 in owner:
                 assert (owner[y1] == owner[y2]) == (len(fraction_rref([h, y1, y2])) == 2)
+
+
+def _unpack(z, bits, w):
+    """The w balanced digits of a packed image, most significant first."""
+    out = []
+    for _ in range(w):
+        x = z % (1 << bits)
+        if x >= 1 << (bits - 1):
+            x -= 1 << bits
+        out.append(x)
+        z = (z - x) >> bits
+    assert z == 0
+    return tuple(reversed(out))
+
+
+def test_packed_restriction_step_against_rref():
+    # The table's step on packed images, for primitive images as the table
+    # holds them: each result, unpacked with h's pivot digit (which it
+    # leaves 0) dropped, is _restrict's image, and the classes are checked
+    # against the Fraction RREF oracle as in the test above.  The digits
+    # are _digit_bits of the largest entry; the second half of the cases
+    # draw entries of +-M and +-(M - 1) for M = 2^k - 1, so that
+    # a * y - b * h reaches about 2 M^2, the most that width holds.
+    rng = random.Random(13)
+
+    def draw(w, big):
+        v = ()
+        while not any(v):
+            if big:
+                v = tuple(rng.choice((-big, 1 - big, 0, big - 1, big)) for _ in range(w))
+            else:
+                v = tuple(rng.randint(-4, 4) for _ in range(w))
+        return primitive(v)
+
+    for case in range(80):
+        w = rng.randint(2, 5)
+        big = (1 << rng.randint(2, 40)) - 1 if case >= 40 else 0
+        h = draw(w, big)
+        pool = [draw(w, 0) for _ in range(3)]
+        ys = {h: 1}
+        for _ in range(12):
+            if big:
+                y = draw(w, big)
+            else:
+                s, t, g = rng.randint(-3, 3), rng.choice((-2, -1, 1, 3)), rng.choice(pool)
+                y = primitive(tuple(s * a + t * b for a, b in zip(h, g)))
+            if len(fraction_rref([h, y])) == 2:
+                ys.setdefault(y, 1 << len(ys))
+        width = _digit_bits(max(abs(x) for y in ys for x in y) ** 2)
+        pys = {_pack(y, width): b for y, b in ys.items()}
+        packed = _restrict_packed(next(iter(pys)), pys, w, width)  # h is ys's first key
+        c = next(k for k, x in enumerate(h) if x)
+        images = {}
+        for z, b in packed.items():
+            if w == 2:
+                assert z == 1
+                images[(1,)] = b
+                continue
+            digits = _unpack(z, width, w)
+            assert digits[c] == 0
+            images[digits[:c] + digits[c + 1:]] = b
+        assert images == _restrict(h, ys)
+        owner = {}
+        for z, bits in images.items():
+            assert len(z) == w - 1 and math.gcd(*z) == 1 and primitive(z) == z
+            for y, bit in ys.items():
+                if bits & bit:
+                    owner[y] = z
+        assert h not in owner
+        assert sorted(owner) == sorted(y for y in ys if y is not h)
+        for y1 in owner:
+            for y2 in owner:
+                assert (owner[y1] == owner[y2]) == (len(fraction_rref([h, y1, y2])) == 2)
+
+
+def test_lattice_and_deletion_restriction_use_separate_steps(monkeypatch):
+    # The table steps packed images and deletion-restriction steps tuples;
+    # each route still counts E_4 with the other's step refusing to run.
+    H = generate_sign_vectors(4)
+
+    def refuse(*args):
+        raise AssertionError("the other route's restriction step ran")
+
+    with monkeypatch.context() as m:
+        m.setattr(flagbound.arrangement, "_restrict", refuse)
+        assert chamber_count(H) == 1882
+    monkeypatch.setattr(flagbound.arrangement, "_restrict_packed", refuse)
+    assert chamber_count_dr(H) == 1882
 
 
 def test_flat_table_interning(sign_tables):
