@@ -29,7 +29,6 @@ __all__ = [
     "generate_sign_vectors",
     "chain_lane_width",
     "packed_decreasing_chains",
-    "decreasing_chains",
     "build_lattice",
     "chamber_count",
     "chamber_count_dr",
@@ -161,32 +160,26 @@ def schlafli_bound(n: int) -> int:
     return 2 * sum(math.comb(m, i) for i in range(n + 1))
 
 
-def _restrict(h: Vector, ys: dict[Vector, int]) -> dict[Vector, int]:
-    """Primitive images in R^w / span(h) of the vectors ys other than h, each
-    mapped to the union of the bits of the ys it comes from: one fraction-free
-    step on h's first nonzero coordinate c, then c dropped.  No y is parallel
-    to h.  At w = 2 every image is a nonzero vector of R^1, whose one
-    primitive vector is (1,), so no arithmetic is done.  When y[c] = 0 the
-    step gives h[c] * y, whose primitive form is y's, so y without entry c
-    is made primitive directly."""
+def _restrict(h: Vector, ys: Sequence[Vector]) -> set[Vector]:
+    """The primitive images in R^w / span(h) of the vectors ys, none of them
+    h or parallel to it: one fraction-free step on h's first nonzero
+    coordinate c, then c dropped.  At w = 2 every image is a nonzero vector
+    of R^1, whose one primitive vector is (1,), so no arithmetic is done.
+    When y[c] = 0 the step gives h[c] * y, whose primitive form is y's, so y
+    without entry c is made primitive directly."""
     if len(h) == 2:
-        others = [bits for y, bits in ys.items() if y is not h]
-        return {(1,): reduce(or_, others)} if others else {}
+        return {(1,)} if ys else set()
     c = next(k for k, x in enumerate(h) if x)
     a = h[c]
-    out: dict[Vector, int] = {}
-    for y, bits in ys.items():
-        if y is h:
-            continue
+    out: set[Vector] = set()
+    for y in ys:
         b = y[c]
         if b:
             z = [a * u - b * v for u, v in zip(y, h)]
             del z[c]
         else:
             z = y[:c] + y[c + 1:]
-        z = primitive(z)
-        prev = out.get(z)  # an unmerged vector's bits are shared, not copied
-        out[z] = bits if prev is None else prev | bits
+        out.add(primitive(z))
     return out
 
 
@@ -223,14 +216,15 @@ def _content(z: int, bits: int) -> int:
 
 
 def _restrict_packed(h: int, ys: dict[int, int], w: int, bits: int) -> dict[int, int]:
-    """_restrict on packed images (FlatTable) of `bits`-bit digits, for a
-    flat whose quotient is R^w.  The pivot is h's leading digit, at bit
-    h.bit_length() // bits * bits since h > 0, and the step leaves a zero
-    there instead of dropping it, so the coordinates eliminated so far are
-    zero digits and each image keeps the frame of R^d.  A y whose pivot
-    digit is 0 is kept as it is; any other becomes a * y - b * h, made
-    positive, and divided by its digit content unless its lowest nonzero
-    digit is +-1.  At w = 2 every image is 1."""
+    """The table's restriction step for a flat whose quotient is R^w: each
+    image in R^w / span(h) of the packed ys other than h (FlatTable, digits
+    of `bits` bits) maps to the union of their member bits.  The pivot is
+    h's leading digit, at bit h.bit_length() // bits * bits since h > 0,
+    and the step leaves a zero there instead of dropping it, so the
+    coordinates eliminated so far are zero digits and each image keeps the
+    frame of R^d.  A y whose pivot digit is 0 is kept as it is; any other
+    becomes a * y - b * h, made positive, and divided by its digit content
+    unless its lowest nonzero digit is +-1.  At w = 2 every image is 1."""
     if w == 2:
         others = [b for y, b in ys.items() if y is not h]
         return {1: reduce(or_, others)} if others else {}
@@ -453,9 +447,15 @@ def chain_lane_width(H: VectorSet) -> int:
 
 
 def packed_decreasing_chains(table: FlatTable, orders: Sequence[Sequence[int]]) -> list[int]:
-    """decreasing_chains for several orders in one pass: per flat, one int
-    whose lane k, of width chain_lane_width bits from bit k * width, holds
-    the count under orders[k].
+    """Per flat F, the chains 0 < .. < F of covers in which each step adds
+    the least member, in an order, of the flat it reaches, counted for
+    several orders in one forward pass over the flats in id order (which
+    ascends with dimension): lane k of F's int, of width chain_lane_width
+    bits from bit k * width, holds the count under orders[k], so with one
+    order the int is the count.  The count is |mu(0, F)| in every order: by
+    Weisner's theorem on F's least member a, mu(0, F) = -sum mu(0, G) over
+    the lower covers G of F that miss a (Stanley, EC1 3.9; the decreasing
+    chains of Bjorner's minimal labeling).
 
     Per flat, ranked[F] holds F's members relabelled by rank, bit r of lane
     k set when orders[k][r] is in F: the OR over F's members of a pattern
@@ -509,23 +509,12 @@ def packed_decreasing_chains(table: FlatTable, orders: Sequence[Sequence[int]]) 
     return chains
 
 
-def decreasing_chains(table: FlatTable, order: Sequence[int]) -> list[int]:
-    """Per flat F, the number of chains 0 < .. < F of covers in which each
-    step adds the least member, in `order`, of the flat it reaches.  It is
-    |mu(0, F)| for every order: by Weisner's theorem on F's least member a,
-    mu(0, F) = -sum mu(0, G) over the lower covers G of F that miss a
-    (Stanley, EC1 3.9; the decreasing chains of Bjorner's minimal labeling).
-    One forward pass over the flats in id order, which ascends with
-    dimension: packed_decreasing_chains with one lane."""
-    return packed_decreasing_chains(table, [order])
-
-
 def build_lattice(H: VectorSet, table: FlatTable | None = None) -> IntersectionLattice:
     """Close the table and take mu(0, F) = (-1)^dim(F) times F's decreasing
     chains in index order, once per table: the lattice is kept on it."""
     table = ensure_table(H, table)
     if table._lattice is None:
-        chains = decreasing_chains(table, range(len(H)))
+        chains = packed_decreasing_chains(table, [range(len(H))])
         mobius = [-c if dim & 1 else c for c, dim in zip(chains, table.dims)]
         table._lattice = IntersectionLattice(mobius)
     return table._lattice
@@ -550,10 +539,10 @@ def _dr_regions(normals: frozenset[Vector], dim: int, memo: dict, steps: list[in
         raise GuardError("arrangement.dr_steps", f"<= {MAX_DR_STEPS}", total)
     steps[0] = total
     out = 1
-    lower: dict[Vector, int] = {}  # {h_i : i < j}; the bits go unused
+    lower: list[Vector] = []  # {h_i : i < j}
     for h in sorted(normals):
         out += _dr_regions(frozenset(_restrict(h, lower)), dim - 1, memo, steps)
-        lower[h] = 0
+        lower.append(h)
     memo[key] = out
     return out
 

@@ -13,7 +13,7 @@ import sys
 from typing import Callable, TextIO
 
 from . import arrangement, flags, homology, threshold
-from .arrangement import FlatTable, VectorSet, ensure_table, generate_sign_vectors
+from .arrangement import FlatTable, VectorSet, generate_sign_vectors
 from .errors import GuardError
 from .flags import OrderPermutation, WeightVector
 
@@ -27,10 +27,10 @@ SAMPLING_CHECK_MAX_N = 3
 SAMPLING_CHECK_COUNT = 200
 MAX_RANDOM_WEIGHT_ENTRIES = 10**6
 # Guard on the work of `lambda`, charged before any order is drawn, in
-# cover edges walked: the identity order's walk, and one walk for each
-# ORDER_WALK_BITS of lanes in each pass of flags.minimal_tuple_counts (at
-# least one a pass), each walk plus ORDER_WALK_CALL_EDGES; then each trial
-# ORDER_DRAW_EDGES plus ORDER_VECTOR_EDGES a vector, for drawing its order.
+# cover edges walked: the identity order's walk, and the walks that
+# flags.order_passes prices the passes of flags.minimal_tuple_counts at,
+# each walk plus ORDER_WALK_CALL_EDGES; then each trial ORDER_DRAW_EDGES
+# plus ORDER_VECTOR_EDGES a vector, for drawing its order.
 # A unit is about 0.1 µs (2 CPUs, Python 3.11): an E_5 pass of 62 orders
 # (2,046 bits) took 69 ms for 8 walks of 89,978 edges, and drawing an order
 # 8.1 µs on E_1 and 15.5 µs on E_5.  At the limit `lambda --n 1` to `--n 5`
@@ -39,18 +39,21 @@ MAX_RANDOM_WEIGHT_ENTRIES = 10**6
 # vectors (1, k) in R^2 (1,215 trials, one 3,001-bit lane a pass) 7.6 s.
 MAX_ORDER_WALK_EDGES = 10**8
 ORDER_WALK_CALL_EDGES = 100
-ORDER_WALK_BITS = 256
 ORDER_DRAW_EDGES = 90
 ORDER_VECTOR_EDGES = 3
+
+
+def _sign_vectors(n: int) -> VectorSet:
+    """E_n, its atoms charged first: a set its table would refuse is never built."""
+    arrangement.charge_sign_vector_atoms(n)
+    return generate_sign_vectors(n)
 
 
 def _load_set(args: argparse.Namespace) -> tuple[VectorSet, dict]:
     if args.input is not None:
         vs = arrangement.read_vector_set(args.input)
         return vs, {"input": args.input}
-    arrangement.charge_sign_vector_atoms(args.n)
-    vs = generate_sign_vectors(args.n)
-    return vs, {"n": args.n}
+    return _sign_vectors(args.n), {"n": args.n}
 
 
 def _weight_vectors(spec: str, count: int) -> list[WeightVector]:
@@ -105,13 +108,9 @@ def _run_lambda(args: argparse.Namespace) -> tuple[bool, dict]:
     table = FlatTable(vs)
     table.close()
     edges = sum(len(table.covers(f)) for f in range(len(table.masks)))
-    width = arrangement.chain_lane_width(vs)
-    lanes = flags.pass_lanes(vs)
-    full, rest = divmod(args.order_trials, lanes)
-    # the identity's walk, then each pass's lane bits over ORDER_WALK_BITS, rounded up
-    walks = 1 + full * -(-lanes * width // ORDER_WALK_BITS) - (-rest * width // ORDER_WALK_BITS)
+    _, _, walks = flags.order_passes(vs, args.order_trials)
     draw = ORDER_DRAW_EDGES + ORDER_VECTOR_EDGES * len(vs)
-    work = walks * (edges + ORDER_WALK_CALL_EDGES) + args.order_trials * draw
+    work = (1 + walks) * (edges + ORDER_WALK_CALL_EDGES) + args.order_trials * draw
     if work > MAX_ORDER_WALK_EDGES:
         raise GuardError("lambda.order_walk_edges", f"<= {MAX_ORDER_WALK_EDGES}", work)
     base = flags.minimal_tuple_count(vs, table=table)
@@ -129,7 +128,7 @@ def _run_lambda(args: argparse.Namespace) -> tuple[bool, dict]:
 
 
 def _run_bound(args: argparse.Namespace) -> tuple[bool, dict]:
-    vs = generate_sign_vectors(args.n)
+    vs = _sign_vectors(args.n)
     table = FlatTable(vs)
     vectors = _weight_vectors(args.weights, len(vs))
     values = [flags.flag_lower_bound(args.n, p, table) for p in vectors]
@@ -177,7 +176,7 @@ def _verify_one(n: int, level: str) -> list[dict]:
     full = level == "full"
     weight_trials = 10 if full else 5
     order_trials = 20 if full else 5
-    vs = generate_sign_vectors(n)
+    vs = _sign_vectors(n)
     table = FlatTable(vs)
     lam = flags.minimal_tuple_count(vs, table=table)
     checks: list[dict] = []

@@ -44,6 +44,7 @@ __all__ = [
     "flag_lower_bound",
     "minimal_tuple_count",
     "minimal_tuple_counts",
+    "order_passes",
     "minimal_tuples",
     "count_admissible_orders",
     "monte_carlo_expectation",
@@ -58,6 +59,9 @@ RANDOM_WEIGHT_MAX_DENOMINATOR = 100
 # holds two ints of that many bits per flat, so past 2,048 bits memory
 # grows for little gain.
 PACKED_WALK_BITS = 2048
+# Lane bits priced as one walk of the table's cover edges by order_passes,
+# which rounds each pass's lanes up to whole walks.
+ORDER_WALK_BITS = 256
 
 
 @dataclass(frozen=True)
@@ -292,12 +296,12 @@ def minimal_tuple_count(
     per chain at most one tuple qualifies (the minimal member at each step
     is unique), and one does exactly when every step adds the minimal
     member of the span it reaches.  So the count is the number of
-    decreasing chains (arrangement.decreasing_chains) into the top flat,
-    the last flat by id: their last step adds the order-first vector, so
-    the coatom it leaves misses that vector.  Under the identity order
-    those chains are |mu(0, top)|, read from the lattice that
-    build_lattice keeps on the table; any other order is one
-    minimal_tuple_counts lane.
+    decreasing chains into the top flat, the last flat by id: their last
+    step adds the order-first vector, so the coatom it leaves misses that
+    vector.  arrangement.packed_decreasing_chains counts those chains and
+    says why they number |mu(0, top)| in every order.  Under the identity
+    order they are read from the lattice that build_lattice keeps on the
+    table; any other order is one minimal_tuple_counts lane.
     """
     table = ensure_table(H, table)
     if order is None or order == OrderPermutation.identity(len(H)):
@@ -305,10 +309,16 @@ def minimal_tuple_count(
     return minimal_tuple_counts(H, [order], table)[0]
 
 
-def pass_lanes(H: VectorSet) -> int:
-    """Orders in one pass of minimal_tuple_counts: PACKED_WALK_BITS // lane
-    width, and at least one."""
-    return max(1, PACKED_WALK_BITS // chain_lane_width(H))
+def order_passes(H: VectorSet, count: int = 0) -> tuple[int, int, int]:
+    """How minimal_tuple_counts walks `count` orders of H: (width, lanes,
+    walks), the bits of one order's lane (chain_lane_width), the orders in
+    a pass (PACKED_WALK_BITS // width, at least one) and the walks the
+    passes cost, one per ORDER_WALK_BITS of each pass's lanes, rounded up."""
+    width = chain_lane_width(H)
+    lanes = max(1, PACKED_WALK_BITS // width)
+    full, rest = divmod(count, lanes)
+    walks = full * -(-lanes * width // ORDER_WALK_BITS) - (-rest * width // ORDER_WALK_BITS)
+    return width, lanes, walks
 
 
 def minimal_tuple_counts(
@@ -318,11 +328,10 @@ def minimal_tuple_counts(
 ) -> list[int]:
     """minimal_tuple_count under each of `orders`, in their order, from the
     top flat's lanes of arrangement.packed_decreasing_chains.  The orders
-    are drawn lazily, one pass of pass_lanes(H) at a time."""
+    are drawn lazily, one pass of order_passes(H)'s lanes at a time."""
     table = ensure_table(H, table)
     T = len(H)
-    width = chain_lane_width(H)
-    lanes = pass_lanes(H)
+    width, lanes, _ = order_passes(H)
     ones = (1 << width) - 1
     orders = iter(orders)
     out: list[int] = []

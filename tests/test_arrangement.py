@@ -1,7 +1,9 @@
 import io
 import math
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,8 @@ from flagbound.arrangement import (
 )
 from flagbound.errors import GuardError
 from flagbound.exactlin import primitive, rank
+from flagbound.flags import OrderPermutation, WeightVector, flag_weighted_sum, minimal_tuple_counts
+from flagbound.homology import homology_rank
 
 from conftest import fraction_rref, random_spanning_set
 
@@ -308,46 +312,41 @@ def test_restriction_step_against_rref():
         w = rng.randint(2, 5)
         h = draw(w)
         pool = [draw(w) for _ in range(3)]
-        ys = {h: 1}
+        ys = []
         for _ in range(12):
             s, t, g = rng.randint(-3, 3), rng.choice((-2, -1, 1, 3)), rng.choice(pool)
             y = tuple(s * a + t * b for a, b in zip(h, g))
-            if len(fraction_rref([h, y])) == 2:
-                ys.setdefault(y, 1 << len(ys))
-        images = _restrict(h, ys)
+            if len(fraction_rref([h, y])) == 2 and y not in ys:
+                ys.append(y)
         owner = {}
-        for z, bits in images.items():
+        for y in ys:
+            (z,) = _restrict(h, [y])
             assert len(z) == w - 1 and math.gcd(*z) == 1
-            for y, bit in ys.items():
-                if bits & bit:
-                    owner[y] = z
-        assert h not in owner
-        assert sorted(owner) == sorted(y for y in ys if y is not h)
+            owner[y] = z
+        assert _restrict(h, ys) == set(owner.values())
         for y1 in owner:
             for y2 in owner:
                 assert (owner[y1] == owner[y2]) == (len(fraction_rref([h, y1, y2])) == 2)
 
 
 def test_restriction_step_shortcuts():
-    # Width 2, where every image is (1,) and all the other bits merge, and a
-    # zero entry on h's pivot, where the image is y without it made
-    # primitive; each class checked against the Fraction RREF oracle.
+    # Width 2, where every image is (1,), and a zero entry on h's pivot,
+    # where the image is y without it made primitive; each y's class is
+    # pinned and checked against the Fraction RREF oracle.
     cases = [
-        ((-3, 2), {(-3, 2): 1, (1, 0): 2, (2, -5): 4, (0, 1): 8}, {(1,): 14}),
-        ((2, 5), {(1, -1): 0}, {(1,): 0}),
-        ((2, 5), {(2, 5): 1}, {}),
+        ((-3, 2), {(1, 0): (1,), (2, -5): (1,), (0, 1): (1,)}),
+        ((2, 5), {(1, -1): (1,)}),
+        ((2, 5), {}),
         # (0, 2, 4) is not primitive; (2, 1, 0) takes the full step and
         # lands in the class of (0, 1, 2)
-        ((1, 1, 1), {(1, 1, 1): 1, (0, 2, 4): 2, (0, 1, 2): 4, (0, -3, 3): 8,
-                     (2, 1, 0): 16, (3, 0, -1): 32},
-         {(1, 2): 22, (1, -1): 8, (3, 4): 32}),
-        ((0, 2, -1), {(0, 2, -1): 1, (5, 0, 10): 2, (-1, 0, -2): 4, (1, 1, 0): 8},
-         {(1, 2): 6, (2, 1): 8}),
+        ((1, 1, 1), {(0, 2, 4): (1, 2), (0, 1, 2): (1, 2), (0, -3, 3): (1, -1),
+                     (2, 1, 0): (1, 2), (3, 0, -1): (3, 4)}),
+        ((0, 2, -1), {(5, 0, 10): (1, 2), (-1, 0, -2): (1, 2), (1, 1, 0): (2, 1)}),
     ]
-    for h, ys, want in cases:
-        images = _restrict(h, ys)
-        assert images == want
-        owner = {y: z for z, bits in images.items() for y, bit in ys.items() if bits & bit}
+    for h, owner in cases:
+        assert _restrict(h, list(owner)) == set(owner.values())
+        for y, z in owner.items():
+            assert _restrict(h, [y]) == {z}
         for y1 in owner:
             for y2 in owner:
                 assert (owner[y1] == owner[y2]) == (len(fraction_rref([h, y1, y2])) == 2)
@@ -368,9 +367,10 @@ def _unpack(z, bits, w):
 
 def test_packed_restriction_step_against_rref():
     # The table's step on packed images, for primitive images as the table
-    # holds them: each result, unpacked with h's pivot digit (which it
-    # leaves 0) dropped, is _restrict's image, and the classes are checked
-    # against the Fraction RREF oracle as in the test above.  The digits
+    # holds them: the results, unpacked with h's pivot digit (which it
+    # leaves 0) dropped, are _restrict's images of the same vectors without
+    # h, and the classes are checked against the Fraction RREF oracle as in
+    # the test above.  The digits
     # are _digit_bits of the largest entry; the second half of the cases
     # draw entries of +-M and +-(M - 1) for M = 2^k - 1, so that
     # a * y - b * h reaches about 2 M^2, the most that width holds.
@@ -412,7 +412,7 @@ def test_packed_restriction_step_against_rref():
             digits = _unpack(z, width, w)
             assert digits[c] == 0
             images[digits[:c] + digits[c + 1:]] = b
-        assert images == _restrict(h, ys)
+        assert set(images) == _restrict(h, [y for y in ys if y != h])
         owner = {}
         for z, bits in images.items():
             assert len(z) == w - 1 and math.gcd(*z) == 1 and primitive(z) == z
@@ -439,6 +439,45 @@ def test_lattice_and_deletion_restriction_use_separate_steps(monkeypatch):
         assert chamber_count(H) == 1882
     monkeypatch.setattr(flagbound.arrangement, "_restrict_packed", refuse)
     assert chamber_count_dr(H) == 1882
+
+
+def _traced_functions(run):
+    """The flagbound functions (code objects) that run() calls."""
+    root = str(Path(flagbound.__file__).parent)
+    seen = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(root):
+            seen.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def test_route_map_deletion_restriction_shares_only_primitive():
+    # Each route on E_4, the set built outside the trace: deletion-
+    # restriction shares no function with the four table routes (the
+    # lattice count, lambda, the flag sum and homology) but primitive,
+    # which makes its images primitive and the table its atoms.  A route
+    # that gains a shared function fails here.
+    H = generate_sign_vectors(4)
+    orders = [OrderPermutation.random(len(H), s) for s in range(3)]
+    p = WeightVector.uniform(len(H))
+    dr = _traced_functions(lambda: chamber_count_dr(H))
+    tables = {
+        "chamber_count": lambda: chamber_count(H),
+        "minimal_tuple_counts": lambda: minimal_tuple_counts(H, orders),
+        "flag_weighted_sum": lambda: flag_weighted_sum(H, p),
+        "homology_rank": lambda: homology_rank(H, H.ambient_dim - 2),
+    }
+    for name, run in tables.items():
+        shared = {f"{Path(c.co_filename).stem}.{c.co_name}"
+                  for c in dr & _traced_functions(run)}
+        assert shared == {"exactlin.primitive"}, name
 
 
 def test_flat_table_interning(sign_tables):

@@ -16,6 +16,7 @@ from flagbound.arrangement import (
 )
 from flagbound.cli import main
 from flagbound.errors import GuardError
+from flagbound.flags import order_passes
 
 
 def run(capsys, argv):
@@ -122,11 +123,19 @@ def test_lambda_negative_order_trials_exit_code(capsys):
 
 
 def test_lambda_order_walk_guard_exit_code(capsys, monkeypatch):
-    # E_2 has 22 cover edges, so each walk (the identity order and one per
-    # trial) counts 22 + ORDER_WALK_CALL_EDGES edges against the limit.
-    monkeypatch.setattr(flagbound.cli, "MAX_ORDER_WALK_EDGES", 1000)
-    fits = 1000 // (22 + flagbound.cli.ORDER_WALK_CALL_EDGES) - 1
-    assert fits >= 0
+    # E_2 has 4 vectors and 22 cover edges: each walk (the identity order's,
+    # and those order_passes prices the trials' passes at) counts
+    # 22 + ORDER_WALK_CALL_EDGES against the limit, and each trial its draw.
+    cli = flagbound.cli
+    monkeypatch.setattr(cli, "MAX_ORDER_WALK_EDGES", 1000)
+
+    def charge(trials):
+        _, _, walks = order_passes(generate_sign_vectors(2), trials)
+        draw = cli.ORDER_DRAW_EDGES + cli.ORDER_VECTOR_EDGES * 4
+        return (1 + walks) * (22 + cli.ORDER_WALK_CALL_EDGES) + trials * draw
+
+    fits = max(k for k in range(100) if charge(k) <= 1000)
+    assert (fits, charge(fits), charge(fits + 1)) == (7, 958, 1060)
     code, _, _ = run(capsys, ["lambda", "--n", "2", "--order-trials", str(fits)])
     assert code == 0
     code, out, err = run(capsys, ["lambda", "--n", "2", "--order-trials", str(fits + 1)])
@@ -487,7 +496,7 @@ def test_sign_vector_atoms_charged_before_the_set_is_built(capsys, monkeypatch):
         raise AssertionError(f"E_{n} built")
 
     monkeypatch.setattr(flagbound.cli, "generate_sign_vectors", unbuilt)
-    for command in ("chambers", "lambda", "homology"):
+    for command in ("chambers", "lambda", "homology", "bound", "verify"):
         code, out, err = run(capsys, [command, "--n", "17"])
         assert code == 2
         assert out == ""

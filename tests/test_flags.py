@@ -11,8 +11,8 @@ from flagbound.arrangement import (
     build_lattice,
     chain_lane_width,
     chamber_count,
-    decreasing_chains,
     generate_sign_vectors,
+    packed_decreasing_chains,
 )
 from flagbound.errors import GuardError
 from flagbound.exactlin import rank
@@ -196,7 +196,7 @@ def test_decreasing_chains_are_mobius_flat_by_flat(sign_tables):
         mobius = build_lattice(H, table).mobius
         for s in range(5):
             order = OrderPermutation.random(len(H), s)
-            chains = decreasing_chains(table, order.order)
+            chains = packed_decreasing_chains(table, [order.order])
             assert chains == [abs(mu) for mu in mobius]
 
 
@@ -215,7 +215,7 @@ def test_top_flat_chains_are_the_coatom_sum(sign_tables):
         d = H.ambient_dim
         for s in range(5):
             order = OrderPermutation.random(len(H), s).order
-            chains = decreasing_chains(table, order)
+            chains = packed_decreasing_chains(table, [order])
             assert table.dims.count(d) == 1 and table.dims[-1] == d
             assert chains[-1] == sum(
                 c for c, mask, dim in zip(chains, table.masks, table.dims)
@@ -434,7 +434,7 @@ def _lane_walk_matches(H, table, extra_orders=3):
     orders = [OrderPermutation.random(len(H), s)
               for s in range(PACKED_WALK_BITS // chain_lane_width(H) + extra_orders)]
     counts = minimal_tuple_counts(H, iter(orders), table)
-    assert counts == [decreasing_chains(table, o.order)[-1] for o in orders]
+    assert counts == [packed_decreasing_chains(table, [o.order])[-1] for o in orders]
     assert set(counts) == {len(minimal_tuples(H, table=table))}
 
 
