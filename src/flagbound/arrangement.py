@@ -22,7 +22,6 @@ from .exactlin import Vector, primitive, rank
 
 __all__ = [
     "VectorSet",
-    "IntersectionLattice",
     "FlatTable",
     "charge_sign_vector_atoms",
     "ensure_table",
@@ -322,9 +321,10 @@ class FlatTable:
         # not built yet; their entries are bounded by MAX_PENDING_IMAGES.
         self._classes: dict[int, dict[int, int]] = {}
         self.pending_images = 0
-        # The lattice with its Mobius values, set by build_lattice, and the
-        # weight-free flag-sum pair, set by flags._flag_sum_coefficients.
-        self._lattice: IntersectionLattice | None = None
+        # mu by flat id, set by the mobius property; a cached_property would
+        # write __dict__, which slows the table's attribute loads (CPython 3.11).
+        self._mobius: list[int] | None = None
+        # The weight-free flag-sum pair, set by flags._flag_sum_coefficients.
         self._flag_sums: tuple | None = None
         # Fraction-free steps so far, charged as MAX_CONTRACTION_STEPS says.
         self.contraction_steps = 0
@@ -413,19 +413,19 @@ class FlatTable:
         mask = self.masks[fid]
         return tuple(i for i in range(len(self.vs.vectors)) if (mask >> i) & 1)
 
-
-class IntersectionLattice:
-    """The Mobius values from the zero flat of the flats of one FlatTable,
-    indexed by flat id.
-
-    mobius[fid] satisfies mu(0) = 1 and, for t > 0, sum_{s <= t} mu(s) = 0,
-    where s <= t is containment of member masks.
-    """
-
-    def __init__(self, mobius: list[int]):
-        self.mobius = mobius
+    @property
+    def mobius(self) -> list[int]:
+        """mu(0, F) by flat id, with mu(0) = 1 and, for t > 0,
+        sum_{s <= t} mu(s) = 0, where s <= t is containment of member
+        masks: (-1)^dim(F) times F's decreasing chains in index order,
+        computed once per table."""
+        if self._mobius is None:
+            chains = packed_decreasing_chains(self, [range(len(self.vs))])
+            self._mobius = [-c if dim & 1 else c for c, dim in zip(chains, self.dims)]
+        return self._mobius
 
     def chamber_count(self) -> int:
+        """Chambers via Zaslavsky: the sum of |mu(0, F)| over all flats."""
         return sum(abs(m) for m in self.mobius)
 
 
@@ -509,15 +509,11 @@ def packed_decreasing_chains(table: FlatTable, orders: Sequence[Sequence[int]]) 
     return chains
 
 
-def build_lattice(H: VectorSet, table: FlatTable | None = None) -> IntersectionLattice:
-    """Close the table and take mu(0, F) = (-1)^dim(F) times F's decreasing
-    chains in index order, once per table: the lattice is kept on it."""
+def build_lattice(H: VectorSet, table: FlatTable | None = None) -> FlatTable:
+    """The closed flat table of H with its Mobius values computed."""
     table = ensure_table(H, table)
-    if table._lattice is None:
-        chains = packed_decreasing_chains(table, [range(len(H))])
-        mobius = [-c if dim & 1 else c for c, dim in zip(chains, table.dims)]
-        table._lattice = IntersectionLattice(mobius)
-    return table._lattice
+    table.mobius
+    return table
 
 
 def chamber_count(H: VectorSet, table: FlatTable | None = None) -> int:

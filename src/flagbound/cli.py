@@ -131,7 +131,7 @@ def _run_bound(args: argparse.Namespace) -> tuple[bool, dict]:
     vs = _sign_vectors(args.n)
     table = FlatTable(vs)
     vectors = _weight_vectors(args.weights, len(vs))
-    values = [flags.flag_lower_bound(args.n, p, table) for p in vectors]
+    values = [2 * flags.flag_weighted_sum(vs, p, table) for p in vectors]
     ok = len(set(values)) == 1
     return ok, {
         "n": args.n,

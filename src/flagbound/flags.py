@@ -7,9 +7,9 @@ independent (d-1)-tuples of a spanning vector set, the sum of
 counts) does not depend on the weight vector, and equals the number of
 tuples whose every suffix span has its order-minimal vector in the tuple
 itself (minimal_tuple_count).  Twice that value is a lower bound on the
-chamber count.  Under the identity order it is |mu(0, top)| of the cached
-lattice; minimal_tuple_counts takes many orders in one chain walk, one lane
-of an integer per flat for each order.
+chamber count.  Under the identity order it is |mu(0, top)| of the flat
+table's Mobius values; minimal_tuple_counts takes many orders in one chain
+walk, one lane of an integer per flat for each order.
 """
 
 from __future__ import annotations
@@ -300,8 +300,8 @@ def minimal_tuple_count(
     step adds the order-first vector, so the coatom it leaves misses that
     vector.  arrangement.packed_decreasing_chains counts those chains and
     says why they number |mu(0, top)| in every order.  Under the identity
-    order they are read from the lattice that build_lattice keeps on the
-    table; any other order is one minimal_tuple_counts lane.
+    order they are read from the Mobius values that build_lattice computes
+    once per table; any other order is one minimal_tuple_counts lane.
     """
     table = ensure_table(H, table)
     if order is None or order == OrderPermutation.identity(len(H)):

@@ -10,7 +10,6 @@ import pytest
 import flagbound.arrangement
 from flagbound.arrangement import (
     FlatTable,
-    IntersectionLattice,
     VectorSet,
     _digit_bits,
     _dr_regions,
@@ -29,6 +28,7 @@ from flagbound.errors import GuardError
 from flagbound.exactlin import primitive, rank
 from flagbound.flags import OrderPermutation, WeightVector, flag_weighted_sum, minimal_tuple_counts
 from flagbound.homology import homology_rank
+from flagbound.threshold import _threshold_codes
 
 from conftest import fraction_rref, random_spanning_set
 
@@ -462,12 +462,18 @@ def test_route_map_deletion_restriction_shares_only_primitive():
     # Each route on E_4, the set built outside the trace: deletion-
     # restriction shares no function with the four table routes (the
     # lattice count, lambda, the flag sum and homology) but primitive,
-    # which makes its images primitive and the table its atoms.  A route
-    # that gains a shared function fails here.
+    # which makes its images primitive and the table its atoms, and the
+    # census shares none with any of the five.  A route that gains a shared
+    # function fails here.
+    def names(codes):
+        return {f"{Path(c.co_filename).stem}.{c.co_name}" for c in codes}
+
     H = generate_sign_vectors(4)
     orders = [OrderPermutation.random(len(H), s) for s in range(3)]
     p = WeightVector.uniform(len(H))
     dr = _traced_functions(lambda: chamber_count_dr(H))
+    census = _traced_functions(lambda: sum(1 for _ in _threshold_codes(H)))
+    assert names(census & dr) == set()
     tables = {
         "chamber_count": lambda: chamber_count(H),
         "minimal_tuple_counts": lambda: minimal_tuple_counts(H, orders),
@@ -475,9 +481,9 @@ def test_route_map_deletion_restriction_shares_only_primitive():
         "homology_rank": lambda: homology_rank(H, H.ambient_dim - 2),
     }
     for name, run in tables.items():
-        shared = {f"{Path(c.co_filename).stem}.{c.co_name}"
-                  for c in dr & _traced_functions(run)}
-        assert shared == {"exactlin.primitive"}, name
+        route = _traced_functions(run)
+        assert names(dr & route) == {"exactlin.primitive"}, name
+        assert names(census & route) == set(), name
 
 
 def test_flat_table_interning(sign_tables):

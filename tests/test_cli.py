@@ -5,6 +5,7 @@ import pytest
 
 import flagbound.arrangement
 import flagbound.cli
+import flagbound.flags
 import flagbound.homology
 import flagbound.threshold
 from flagbound.arrangement import (
@@ -79,6 +80,16 @@ def test_bound_weights_file(capsys, tmp_path):
     assert json.loads(out)["values"] == ["6"]
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("random:1", "expected random:<seed>:<count>, got 'random:1'"),
+    ("random:a:b", "expected random:<seed>:<count>, got 'random:a:b'"),
+    ("random:1:0", "weight vector count must be >= 1"),
+])
+def test_bad_random_weights_exit_code(capsys, spec, message):
+    code, out, err = run(capsys, ["bound", "--n", "2", "--weights", spec])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_gen_e_stdout(capsys):
     code, out, _ = run(capsys, ["gen-e", "--n", "2"])
     assert code == 0
@@ -92,6 +103,13 @@ def test_gen_e_out_file(capsys, tmp_path):
     assert code == 0
     assert str(path) in out
     assert list(read_vector_set(str(path))) == list(generate_sign_vectors(3))
+
+
+def test_chambers_out_file(capsys, tmp_path):
+    path = tmp_path / "chambers.txt"
+    code, out, err = run(capsys, ["chambers", "--n", "2", "--out", str(path)])
+    assert (code, out, err) == (0, "", "")
+    assert path.read_text() == "n: 2\nchambers: 14\n"
 
 
 def test_chambers_from_file_with_oracle(capsys, tmp_path):
@@ -332,14 +350,19 @@ def test_verify_full_n1(capsys):
 
 
 def test_verify_builds_one_lattice(capsys, monkeypatch):
+    # mu is one chain walk in the identity order, however many checks read
+    # it; verify's order passes walk many orders a call and are not counted.
     built = []
-    original = flagbound.arrangement.IntersectionLattice
+    original = flagbound.arrangement.packed_decreasing_chains
 
-    def counting(*args):
-        built.append(args)
-        return original(*args)
+    def counting(table, orders):
+        orders = [tuple(o) for o in orders]
+        if orders == [tuple(range(len(table.vs)))]:
+            built.append(table)
+        return original(table, orders)
 
-    monkeypatch.setattr(flagbound.arrangement, "IntersectionLattice", counting)
+    monkeypatch.setattr(flagbound.arrangement, "packed_decreasing_chains", counting)
+    monkeypatch.setattr(flagbound.flags, "packed_decreasing_chains", counting)
     code, _, _ = run(capsys, ["verify", "--n", "3", "--level", "full"])
     assert code == 0
     assert len(built) == 1
@@ -366,6 +389,26 @@ def test_verify_fast_sweep(capsys):
     assert payload["ok"] is True
     assert {c["n"] for c in payload["checks"]} == {1, 2, 3}
     assert all(c["ok"] for c in payload["checks"])
+
+
+def test_verify_full_sweep(capsys):
+    code, out, _ = run(capsys, ["verify", "--level", "full"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "all checks passed"
+    assert all(line.startswith("PASS ") for line in lines[:-1])
+    assert {line.split()[1] for line in lines[:-1]} == {f"n={n}" for n in range(1, 6)}
+
+
+def test_mobius_by_flat_mismatch_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(flagbound.homology, "mobius_via_homology",
+                        lambda table, fid, field: 0)
+    code, out, err = run(capsys, ["verify", "--n", "1", "--level", "full"])
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert [ln for ln in lines[:-1] if ln.startswith("FAIL ")] == [
+        "FAIL n=1 mobius-by-flat: 3 flats, 3 mismatches"]
+    assert lines[-1] == "failures above"
 
 
 def test_deterministic_output(capsys):
@@ -475,6 +518,10 @@ def test_bad_weights_file_exit_code(capsys, tmp_path):
         capsys, ["bound", "--n", "2", "--weights", str(tmp_path / "nope.txt")])
     assert code == 2
     assert err.startswith("error:")
+    path = tmp_path / "empty.txt"
+    path.write_text("# no weights\n\n")
+    code, out, err = run(capsys, ["bound", "--n", "2", "--weights", str(path)])
+    assert (code, out, err) == (2, "", "error: empty weight file\n")
 
 
 def test_malformed_input_file_exit_code(capsys, tmp_path):

@@ -346,6 +346,17 @@ def test_count_admissible_orders_errors():
         [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
     with pytest.raises(ValueError):
         count_admissible_orders(H, (0, 1, 2), 3)
+    with pytest.raises(ValueError, match="expected a 2-tuple, got 1 indices"):
+        count_admissible_orders(generate_sign_vectors(2), (0,), 1)
+
+
+def test_order_of_wrong_length_rejected():
+    H = generate_sign_vectors(2)
+    short = OrderPermutation.identity(3)
+    with pytest.raises(ValueError, match="order on 3 indices, set has 4"):
+        minimal_tuple_counts(H, [OrderPermutation.identity(4), short])
+    with pytest.raises(ValueError, match="order on 3 indices, set has 4"):
+        minimal_tuples(H, short)
 
 
 def test_monte_carlo_constant(sign_tables):
